@@ -43,6 +43,7 @@ from ..model.values import ValueSet, as_value_set
 from ..paths.walk import AllPathsHandle, Walk
 from .context import EvalContext
 from .expressions import ExpressionEvaluator
+from .kernels import compiled_filter_rows
 
 __all__ = ["evaluate_construct", "identity_item_spec"]
 
@@ -371,12 +372,15 @@ def _evaluate_item(
 
     # ---------------- Phase 3: WHEN filtering ---------------------------
     if item.when is not None:
-        rows = table.rows
-        surviving = {
-            index
-            for index in range(len(table))
-            if ev.evaluate_predicate(item.when, rows[index])
-        }
+        if ctx.use_vectorized():
+            surviving = set(compiled_filter_rows(table, ctx, [item.when]))
+        else:
+            rows = table.rows
+            surviving = {
+                index
+                for index in range(len(table))
+                if ev.evaluate_predicate(item.when, rows[index])
+            }
         survivors: Set[ObjectId] = set()
         all_records = list(node_records.values())
         all_records.extend(record for record, _ in edge_records)

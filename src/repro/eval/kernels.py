@@ -20,10 +20,13 @@ the oracle (the property tests assert exact table equality):
   expression that raises (arithmetic over a string, say) raises in
   precisely the same row/operand positions under both evaluators.
 * Shared scalar semantics: comparisons go through ``gcore_equals`` /
-  ``gcore_compare`` (bool/number separation included), arithmetic and
-  builtins reuse the oracle's own implementations element-wise, and
-  aggregates feed column slices into the same ``collect_values`` /
-  ``aggregate_values`` core the oracle uses.
+  ``gcore_compare`` (bool/number separation included; ``=`` against a
+  literal or ``$param`` uses :func:`equals_constant`, which normalizes
+  the constant once per batch and is tested element-wise against
+  ``gcore_equals``), arithmetic and builtins reuse the oracle's own
+  implementations element-wise, and aggregates feed column slices into
+  the same ``collect_values`` / ``aggregate_values`` core the oracle
+  uses.
 
 Subexpressions with no columnar form (EXISTS subqueries, pattern
 predicates) fall back to the oracle row-by-row inside an otherwise
@@ -47,10 +50,13 @@ from ..lang import ast
 from ..model.values import (
     EMPTY_SET,
     as_scalar,
+    as_value_set,
     gcore_compare,
     gcore_equals,
     gcore_in,
     gcore_subset,
+    is_scalar,
+    normalize_scalar,
     truthy,
 )
 from ..paths.walk import Walk
@@ -62,6 +68,7 @@ __all__ = [
     "Kernel",
     "KernelContext",
     "compiled_filter_rows",
+    "equals_constant",
 ]
 
 #: A compiled kernel: evaluates one expression for a batch of units.
@@ -187,9 +194,12 @@ class ExpressionCompiler:
         if isinstance(expr, ast.Unary):
             return self._unary_kernel(expr.op, self.compile(expr.operand))
         if isinstance(expr, ast.Binary):
-            return self._binary_kernel(
-                expr.op, self.compile(expr.left), self.compile(expr.right)
-            )
+            left, right = self.compile(expr.left), self.compile(expr.right)
+            if expr.op == "=" and isinstance(expr.right, _CONSTANT_NODES):
+                return self._equals_constant_kernel(left, right, False)
+            if expr.op == "=" and isinstance(expr.left, _CONSTANT_NODES):
+                return self._equals_constant_kernel(left, right, True)
+            return self._binary_kernel(expr.op, left, right)
         if isinstance(expr, ast.CaseExpr):
             whens = [
                 (self.compile(cond), self.compile(value))
@@ -454,6 +464,28 @@ class ExpressionCompiler:
         return kernel
 
     @staticmethod
+    def _equals_constant_kernel(
+        left: Kernel, right: Kernel, constant_left: bool
+    ) -> Kernel:
+        """``=`` with a ``Literal``/``Param`` side: the constant is
+        evaluated on one row and normalized once per batch.
+
+        Operands still evaluate left to right, so a missing ``$param``
+        raises exactly where the element-wise kernel would.
+        """
+
+        def kernel(kctx, rows):
+            if not rows:
+                return []
+            if constant_left:
+                constant = left(kctx, rows[:1])[0]
+                return equals_constant(right(kctx, rows), constant, True)
+            values = left(kctx, rows)
+            return equals_constant(values, right(kctx, rows[:1])[0], False)
+
+        return kernel
+
+    @staticmethod
     def _case_kernel(whens, default: Optional[Kernel]) -> Kernel:
         def kernel(kctx, rows):
             out = [EMPTY_SET] * len(rows)
@@ -531,6 +563,44 @@ class ExpressionCompiler:
             return [oracle.evaluate(expr, table_rows[i]) for i in rows]
 
         return kernel
+
+
+#: Expression nodes whose value is the same on every row of a batch.
+_CONSTANT_NODES = (ast.Literal, ast.Param)
+
+
+def equals_constant(
+    values: Sequence[Any], constant: Any, constant_left: bool = False
+) -> List[bool]:
+    """``gcore_equals`` of each of *values* against one *constant*.
+
+    The constant's normalized value set is built once instead of once
+    per element; a scalar or singleton element then costs one
+    normalization and one comparison. Results, bool/number separation
+    and ``TypeError`` on non-literal values are exactly
+    ``gcore_equals``'s (*constant_left* keeps its argument order for
+    the case where both sides are invalid).
+    """
+    try:
+        target = {normalize_scalar(v) for v in as_value_set(constant)}
+    except TypeError:
+        if constant_left:
+            return [gcore_equals(constant, v) for v in values]
+        return [gcore_equals(v, constant) for v in values]
+    # A one-element value can only equal a one-element target.
+    key = next(iter(target)) if len(target) == 1 else _MISS
+    out: List[bool] = []
+    for value in values:
+        scalar = value
+        if type(value) is frozenset and len(value) == 1:
+            (scalar,) = value
+        if is_scalar(scalar):
+            out.append(normalize_scalar(scalar) == key)
+        else:
+            out.append(
+                {normalize_scalar(v) for v in as_value_set(value)} == target
+            )
+    return out
 
 
 def _arith(op: str) -> Callable[[Any, Any], Any]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..algebra.binding import ABSENT, Binding, BindingTable, EMPTY_BINDING
 from ..algebra.ops import table_left_join
@@ -301,13 +301,16 @@ class NodeAtom:
         """Columnar expansion: candidates resolved once, output built as
         vectors. Emission order matches :meth:`extend` exactly.
 
-        ``probe_filters`` (var -> object predicate) carries WHERE
-        conjuncts pushed down to this atom: candidates failing the
-        predicate are dropped before any row materializes.
+        ``probe_filters`` (var -> batch filter, see
+        :func:`run_atom_sequence`) carries WHERE conjuncts pushed down to
+        this atom: the label-scan candidates and the distinct bound
+        values that pass the pattern's own tests go through the filter
+        in one batch, and candidates it rejects are dropped before any
+        row materializes.
         """
         pattern = self.pattern
         var = self.var
-        probe = (probe_filters or {}).get(var)
+        admit = (probe_filters or {}).get(var)
         const_tests, dyn_tests = _split_prop_tests(pattern.prop_tests, ev)
         unroller = _BindUnroller(graph, pattern.prop_binds)
         names = list(
@@ -320,35 +323,47 @@ class NodeAtom:
         var_vector = name_vectors[var]
         dyn_rows = table.rows if dyn_tests else None
 
-        candidate_cache: Optional[List[ObjectId]] = None
+        scan: List[ObjectId] = []
+        if nrows and (
+            var_vector is None or any(v is ABSENT for v in var_vector)
+        ):
+            scan = [
+                node
+                for node in _label_candidates(
+                    graph.nodes, pattern.labels, graph.nodes_with_label
+                )
+                if _const_tests_pass(graph, node, const_tests)
+            ]
         bound_ok: Dict[ObjectId, bool] = {}
+        for bound in var_vector or ():
+            if bound is not ABSENT and bound not in bound_ok:
+                bound_ok[bound] = (
+                    bound in graph.nodes
+                    and _satisfies_labels(graph.labels(bound), pattern.labels)
+                    and _const_tests_pass(graph, bound, const_tests)
+                )
+        if admit is not None:
+            admitted = admit(
+                list(
+                    dict.fromkeys(
+                        [*scan, *(v for v, ok in bound_ok.items() if ok)]
+                    )
+                )
+            )
+            scan = [node for node in scan if node in admitted]
+            bound_ok = {v: ok and v in admitted for v, ok in bound_ok.items()}
+
         out_index: List[int] = []
         out_cols: Dict[str, List[Any]] = {name: [] for name in names}
 
         for i in range(nrows):
             bound = var_vector[i] if var_vector is not None else ABSENT
             if bound is not ABSENT:
-                ok = bound_ok.get(bound)
-                if ok is None:
-                    ok = (
-                        bound in graph.nodes
-                        and _satisfies_labels(graph.labels(bound), pattern.labels)
-                        and _const_tests_pass(graph, bound, const_tests)
-                        and (probe is None or probe(bound))
-                    )
-                    bound_ok[bound] = ok
-                candidates: Iterable[ObjectId] = (bound,) if ok else ()
+                candidates: Iterable[ObjectId] = (
+                    (bound,) if bound_ok[bound] else ()
+                )
             else:
-                if candidate_cache is None:
-                    candidate_cache = [
-                        node
-                        for node in _label_candidates(
-                            graph.nodes, pattern.labels, graph.nodes_with_label
-                        )
-                        if _const_tests_pass(graph, node, const_tests)
-                        and (probe is None or probe(node))
-                    ]
-                candidates = candidate_cache
+                candidates = scan
             for node in candidates:
                 if dyn_tests and not _property_tests_pass(
                     graph, node, tuple(dyn_tests), ev, dyn_rows[i]
@@ -477,16 +492,15 @@ class EdgeAtom:
         :meth:`extend` exactly, so both executors produce identical
         tables — rows included, order included.
 
-        ``probe_filters`` (var -> object predicate) carries pushed-down
-        WHERE conjuncts: predicates on the edge variable fold into the
-        memoized admissibility check, endpoint predicates drop a
-        candidate edge right after its endpoints resolve — in both cases
-        before the row materializes.
+        ``probe_filters`` (var -> batch filter, see
+        :func:`run_atom_sequence`) carries pushed-down WHERE conjuncts.
+        Candidate edges are gathered first; each filter then runs once
+        over the distinct gathered edges (edge variable) or their
+        distinct opposite endpoints (endpoint variable), and rejected
+        candidates are dropped before any row materializes.
         """
         pattern = self.pattern
         var = self.var
-        probe_filters = probe_filters or {}
-        edge_probe = probe_filters.get(var) if var else None
         const_tests, dyn_tests = _split_prop_tests(pattern.prop_tests, ev)
         unroller = _BindUnroller(graph, pattern.prop_binds)
         names = list(
@@ -515,78 +529,91 @@ class EdgeAtom:
         edge_ok: Dict[ObjectId, bool] = {}
         rho = graph.endpoints
         scan_cache: Optional[List[ObjectId]] = None
-        orientations = [
-            (from_var, to_var, probe_filters.get(from_var),
-             probe_filters.get(to_var))
-            for from_var, to_var in self._orientations()
-        ]
+        orientations = self._orientations()
+
+        def gather() -> Iterator[Tuple[int, int, ObjectId, ObjectId, ObjectId]]:
+            """(row, orientation, edge, src, dst) per admissible candidate."""
+            nonlocal scan_cache
+            for i in range(nrows):
+                bound_edge = var_vector[i] if var_vector is not None else ABSENT
+                for o, (from_var, to_var) in enumerate(orientations):
+                    from_vec = name_vectors[from_var]
+                    to_vec = name_vectors[to_var]
+                    fv = from_vec[i] if from_vec is not None else ABSENT
+                    tv = to_vec[i] if to_vec is not None else ABSENT
+                    if bound_edge is not ABSENT:
+                        candidates: Iterable[ObjectId] = (bound_edge,)
+                    elif fv is not ABSENT:
+                        candidates = out_adj.get(fv, ())
+                    elif tv is not ABSENT:
+                        candidates = in_adj.get(tv, ())
+                    else:
+                        if scan_cache is None:
+                            scan_cache = _label_candidates(
+                                graph.edges, labels, graph.edges_with_label
+                            )
+                        candidates = scan_cache
+                    for edge in candidates:
+                        ok = edge_ok.get(edge)
+                        if ok is None:
+                            ok = (
+                                edge in graph.edges
+                                and _satisfies_labels(graph.labels(edge), labels)
+                                and _const_tests_pass(graph, edge, const_tests)
+                            )
+                            edge_ok[edge] = ok
+                        if not ok:
+                            continue
+                        src, dst = rho(edge)
+                        if from_var == to_var and src != dst:
+                            continue  # self-loop pattern: endpoints must agree
+                        if fv is not ABSENT and fv != src:
+                            continue
+                        if tv is not ABSENT and tv != dst:
+                            continue
+                        yield i, o, edge, src, dst
+
+        matches: Iterable[Tuple[int, int, ObjectId, ObjectId, ObjectId]] = gather()
+        if probe_filters:
+            gathered = list(matches)
+            for probed, admit in probe_filters.items():
+                # The match slot holding *probed* under each orientation:
+                # the edge itself, its source or its target.
+                slots = [
+                    2 if probed == var else 3 if probed == from_var else 4
+                    for from_var, _ in orientations
+                ]
+                admitted = admit(
+                    list(dict.fromkeys(m[slots[m[1]]] for m in gathered))
+                )
+                gathered = [m for m in gathered if m[slots[m[1]]] in admitted]
+            matches = gathered
 
         out_index: List[int] = []
         out_cols: Dict[str, List[Any]] = {name: [] for name in names}
-
-        for i in range(nrows):
-            for from_var, to_var, from_probe, to_probe in orientations:
-                from_vec = name_vectors[from_var]
-                to_vec = name_vectors[to_var]
-                fv = from_vec[i] if from_vec is not None else ABSENT
-                tv = to_vec[i] if to_vec is not None else ABSENT
-                bound_edge = var_vector[i] if var_vector is not None else ABSENT
-                if bound_edge is not ABSENT:
-                    candidates: Iterable[ObjectId] = (bound_edge,)
-                elif fv is not ABSENT:
-                    candidates = out_adj.get(fv, ())
-                elif tv is not ABSENT:
-                    candidates = in_adj.get(tv, ())
-                else:
-                    if scan_cache is None:
-                        scan_cache = _label_candidates(
-                            graph.edges, labels, graph.edges_with_label
-                        )
-                    candidates = scan_cache
-                for edge in candidates:
-                    ok = edge_ok.get(edge)
-                    if ok is None:
-                        ok = (
-                            edge in graph.edges
-                            and _satisfies_labels(graph.labels(edge), labels)
-                            and _const_tests_pass(graph, edge, const_tests)
-                            and (edge_probe is None or edge_probe(edge))
-                        )
-                        edge_ok[edge] = ok
-                    if not ok:
-                        continue
-                    src, dst = rho(edge)
-                    if from_var == to_var and src != dst:
-                        continue  # self-loop pattern: endpoints must agree
-                    if fv is not ABSENT and fv != src:
-                        continue
-                    if tv is not ABSENT and tv != dst:
-                        continue
-                    if from_probe is not None and not from_probe(src):
-                        continue
-                    if to_probe is not None and not to_probe(dst):
-                        continue
-                    if dyn_tests and not _property_tests_pass(
-                        graph, edge, tuple(dyn_tests), ev, dyn_rows[i]
-                    ):
-                        continue
-                    base = {}
-                    for name in names:
-                        vector = name_vectors[name]
-                        base[name] = vector[i] if vector is not None else ABSENT
-                    # Mirror the reference's sequential extends (guarded
-                    # so an already-assigned name, e.g. a self-loop's
-                    # shared endpoint variable, is never overwritten).
-                    if base[from_var] is ABSENT:
-                        base[from_var] = src
-                    if base[to_var] is ABSENT:
-                        base[to_var] = dst
-                    if var and base[var] is ABSENT:
-                        base[var] = edge
-                    for combo in unroller.unroll(edge, base):
-                        out_index.append(i)
-                        for name in names:
-                            out_cols[name].append(combo[name])
+        for i, o, edge, src, dst in matches:
+            from_var, to_var = orientations[o]
+            if dyn_tests and not _property_tests_pass(
+                graph, edge, tuple(dyn_tests), ev, dyn_rows[i]
+            ):
+                continue
+            base = {}
+            for name in names:
+                vector = name_vectors[name]
+                base[name] = vector[i] if vector is not None else ABSENT
+            # Mirror the reference's sequential extends (guarded
+            # so an already-assigned name, e.g. a self-loop's
+            # shared endpoint variable, is never overwritten).
+            if base[from_var] is ABSENT:
+                base[from_var] = src
+            if base[to_var] is ABSENT:
+                base[to_var] = dst
+            if var and base[var] is ABSENT:
+                base[var] = edge
+            for combo in unroller.unroll(edge, base):
+                out_index.append(i)
+                for name in names:
+                    out_cols[name].append(combo[name])
         columns = tuple(table.columns) + tuple(self.binds())
         return _assemble(table, columns, names, out_index, out_cols)
 
@@ -1218,6 +1245,33 @@ def _apply_conjuncts(
     return table.select_rows(rows)
 
 
+def _probe_filter(
+    var: str,
+    conjuncts: List[ast.Expr],
+    ctx: EvalContext,
+    compiler: Optional[ExpressionCompiler],
+    ev: ExpressionEvaluator,
+) -> Callable[[List[Any]], Set[Any]]:
+    """The batch filter of a probe's pushed conjuncts over *var*.
+
+    Takes an atom's distinct candidate objects for *var* and returns
+    the admitted ones: the candidates become a one-column table that
+    goes through :func:`_apply_conjuncts` — the block's own WHERE
+    filter, compiled or interpreted — in one call.
+    """
+
+    def admit(candidates: List[Any]) -> Set[Any]:
+        if not candidates:
+            return set()
+        table = BindingTable.from_columns(
+            (var,), (var,), {var: candidates}, len(candidates), dedup=False
+        )
+        kept = _apply_conjuncts(conjuncts, table, ctx, compiler, ev)
+        return set(kept.column_values(var) or ())
+
+    return admit
+
+
 def run_atom_sequence(
     atoms: List[object],
     table: BindingTable,
@@ -1230,13 +1284,14 @@ def run_atom_sequence(
 ) -> BindingTable:
     """Run a planned atom sequence against *table* (one block location).
 
-    The shared inner loop of block evaluation: probe-predicate pushdown,
-    atom expansion on the configured executor, then any newly-total
-    pushed conjuncts. Mutates *plan* (conjuncts are consumed as taken)
-    and *bound_by_atoms* in place. Morsel workers
-    (:mod:`repro.eval.parallel`) run exactly this function over their
-    row ranges, which is what makes parallel block tails bit-identical
-    to serial evaluation.
+    The shared inner loop of block evaluation: probe pushdown (each
+    probed variable's conjuncts filter the atom's candidates in one
+    batch, :func:`_probe_filter`), atom expansion on the configured
+    executor, then any newly-total pushed conjuncts. Mutates *plan*
+    (conjuncts are consumed as taken) and *bound_by_atoms* in place.
+    Morsel workers (:mod:`repro.eval.parallel`) run exactly this
+    function over their row ranges, which is what makes parallel block
+    tails bit-identical to serial evaluation.
     """
     columnar = ctx.config.executor == "columnar"
     for atom in atoms:
@@ -1244,7 +1299,10 @@ def run_atom_sequence(
         if plan is not None and not isinstance(atom, PathAtom):
             taken = plan.take_probe(atom, bound_by_atoms)
             if taken:
-                probe = plan.probe_predicates(taken, ev)
+                probe = {
+                    var: _probe_filter(var, exprs, ctx, compiler, ev)
+                    for var, exprs in plan.probe_groups(taken).items()
+                }
         if isinstance(atom, PathAtom):
             # The path engine is its own config axis (historically it
             # rode with the executor; the legacy flag setters keep

@@ -15,11 +15,13 @@ statistics it falls back to the original hand-tuned heuristic
 * path atoms run once their source endpoint is bound (one single-source
   product-graph search per distinct source).
 
-Selection uses a lazy-reevaluation heap instead of repeated ``max()``
-over a shrinking list: priorities only change when the bound-variable set
-grows, so stale entries are re-scored and re-pushed at most once per
-selection. ``naive=True`` disables reordering entirely (pure syntax
-order); the ablation benchmark EXP-B1 measures the difference.
+Every step re-scores every remaining atom under the current bound set
+and takes the best. Priorities move in both directions as variables
+bind: an edge's estimate *drops* once an endpoint is bound, so a cached
+priority from an earlier step is never trusted (a chain has a handful of
+atoms, so the quadratic re-scoring is cheap). ``naive=True`` disables
+reordering entirely (pure syntax order); the ablation benchmark EXP-B1
+measures the difference.
 
 :func:`plan_atoms` returns the full trace — the score/estimate each atom
 actually had at selection time — which EXPLAIN renders; :class:`PlanCache`
@@ -29,7 +31,6 @@ engine's prepared queries.
 
 from __future__ import annotations
 
-import heapq
 import threading
 from collections import OrderedDict
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -238,19 +239,15 @@ def plan_atoms(
             bound_set |= atom.binds()
         return steps
 
-    heap: List[Tuple[Tuple[float, int], int]] = [
-        (priority(atom), index) for index, atom in enumerate(atoms)
-    ]
-    heapq.heapify(heap)
+    remaining = list(range(len(atoms)))
     steps: List[PlanStep] = []
-    while heap:
-        stale_priority, index = heapq.heappop(heap)
+    while remaining:
+        # min() keeps the first of equal priorities: ties go to syntax order.
+        current, index = min(
+            (priority(atoms[index]), index) for index in remaining
+        )
+        remaining.remove(index)
         atom = atoms[index]
-        current = priority(atom)
-        if current != stale_priority:
-            # Bound variables grew since this entry was pushed; re-score.
-            heapq.heappush(heap, (current, index))
-            continue
         estimate = current[0] if stats is not None else None
         steps.append(PlanStep(atom, atom_score(atom, bound_set), estimate))
         bound_set |= atom.binds()

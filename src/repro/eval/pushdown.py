@@ -6,8 +6,12 @@ the condition is a conjunction of truthy-coerced conjuncts, any conjunct
 can be applied as soon as all of its variables are bound — and a
 conjunct over a *single* variable can filter candidate objects inside
 ``extend_columnar``'s hash-join probe, before rows materialize at all
-(the same trick PR 2's const/dynamic property-test split plays for
-pattern ``{k=v}`` tests).
+(the trick the const/dynamic split of pattern ``{k=v}`` tests plays).
+A probe filters in one batch per atom execution: its conjuncts run
+through the block's WHERE filter (compiled kernels or the interpreter,
+per the ``expressions`` setting) over a one-column table of the atom's
+distinct candidate objects, and each candidate then looks up its
+verdict.
 
 Pushing is only sound when it cannot change observable behaviour, so a
 conjunct qualifies only when it is *total* (provably never raises: no
@@ -27,16 +31,13 @@ estimates, and EXPLAIN replays the same assignment logic dry via
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..algebra.aggregates import is_aggregate_name
-from ..algebra.binding import Binding
 from ..lang import ast
-from .expressions import ExpressionEvaluator, expr_variables
+from .expressions import expr_variables
 
 __all__ = ["PushdownPlan", "atom_label", "split_conjuncts"]
-
-_MISS = object()
 
 #: Builtins that cannot raise when applied to arbitrary values (their
 #: error cases coerce to the absent value instead). Everything else —
@@ -232,34 +233,19 @@ class PushdownPlan:
         leftovers = [(c.index, c.expr) for c in self.pushable if not c.consumed]
         return [expr for _, expr in sorted(leftovers + self._residual)]
 
-    # ------------------------------------------------------------------
-    def probe_predicates(
-        self, conjuncts: List[_Conjunct], ev: ExpressionEvaluator
-    ) -> Dict[str, Callable[[Any], bool]]:
-        """Per-variable candidate predicates for a probe assignment.
+    @staticmethod
+    def probe_groups(conjuncts: List[_Conjunct]) -> Dict[str, List[ast.Expr]]:
+        """A probe assignment's conjuncts grouped by their one variable.
 
-        Each predicate evaluates its conjuncts over a one-variable
-        binding through the reference evaluator (full Section 3
-        semantics, context lookups included) and memoizes per object —
-        the predicate runs once per distinct candidate, not per row.
+        The atom evaluates each group as one batched WHERE filter over
+        a one-column table of its distinct candidate objects (see
+        :func:`repro.eval.match.run_atom_sequence`), in source order.
         """
         grouped: Dict[str, List[ast.Expr]] = {}
         for conjunct in conjuncts:
             (var,) = tuple(conjunct.variables)
             grouped.setdefault(var, []).append(conjunct.expr)
-        predicates: Dict[str, Callable[[Any], bool]] = {}
-        for var, exprs in grouped.items():
-
-            def predicate(obj, var=var, exprs=exprs, memo={}):  # noqa: B006
-                verdict = memo.get(obj, _MISS)
-                if verdict is _MISS:
-                    row = Binding({var: obj})
-                    verdict = all(ev.evaluate_predicate(expr, row) for expr in exprs)
-                    memo[obj] = verdict
-                return verdict
-
-            predicates[var] = predicate
-        return predicates
+        return grouped
 
     # ------------------------------------------------------------------
     def simulate(self, ordered_atoms, bound) -> List[str]:

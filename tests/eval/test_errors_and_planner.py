@@ -123,6 +123,29 @@ class TestPlanner:
         text = explain_order(atoms, set())
         assert "node" in text and "edge" in text
 
+    def test_hop_expands_edge_before_scanning_target(self):
+        # Binding n makes the knows edge an index lookup whose estimate
+        # drops below the m scan; the planner must notice the drop and
+        # expand the edge instead of cross-joining n with every Person.
+        from repro import datasets
+
+        eng = GCoreEngine()
+        datasets.load("snb", scale=30, seed=1).install(eng)
+        text = eng.explain(
+            "SELECT m.firstName MATCH (n:Person)-[:knows]->(m:Person) "
+            "WHERE n.firstName = $name"
+        )
+        steps = [
+            (line.split()[0], line.split("binds=")[1])
+            for line in text.splitlines()
+            if "binds=" in line
+        ]
+        assert steps == [
+            ("node", "['n']"),
+            ("edge", "['m', 'n']"),
+            ("node", "['m']"),
+        ]
+
 
 class TestContext:
     def test_child_depth_guard(self, engine):

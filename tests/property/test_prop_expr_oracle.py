@@ -221,3 +221,111 @@ def test_projection_parity(graph):
         tuple((type(c).__name__, c) for c in row) for row in t.rows
     ]
     assert typed(first) == typed(second) == typed(third)
+
+
+# ---------------------------------------------------------------------------
+# Probe pushdown: single-variable total conjuncts filtered in batches
+# ---------------------------------------------------------------------------
+
+#: Literal constants (rendered as query text) and $p parameter values.
+LITERALS = ["TRUE", "FALSE", "0", "1", "1.0", "2.5", "'s1'", "'s2'"]
+param_values = st.one_of(prop_values, st.lists(scalars, max_size=2))
+
+
+@st.composite
+def probe_graphs(draw):
+    """Typed node properties plus typed edge properties and labels."""
+    builder = GraphBuilder()
+    for node in NODES:
+        properties = {}
+        for key in PROP_KEYS:
+            if draw(st.booleans()):
+                properties[key] = draw(prop_values)
+        builder.add_node(
+            node,
+            labels=draw(st.sets(st.sampled_from(LABELS))),
+            properties=properties,
+        )
+    for index in range(draw(st.integers(0, 7))):
+        properties = {}
+        if draw(st.booleans()):
+            properties["w"] = draw(prop_values)
+        builder.add_edge(
+            draw(st.sampled_from(NODES)),
+            draw(st.sampled_from(NODES)),
+            edge_id=f"e{index}",
+            labels=[draw(st.sampled_from(["k", "l"]))],
+            properties=properties,
+        )
+    return builder.build()
+
+
+@st.composite
+def probe_conjuncts(draw):
+    """1-3 total conjuncts, each over exactly one of n, e, m."""
+    conjuncts = []
+    for _ in range(draw(st.integers(1, 3))):
+        var = draw(st.sampled_from(["n", "e", "m"]))
+        key = "w" if var == "e" else draw(st.sampled_from(PROP_KEYS))
+        constant = draw(st.sampled_from(LITERALS + ["$p"]))
+        kind = draw(st.sampled_from(["eq", "eq_left", "cmp", "not_eq", "label"]))
+        if kind == "eq":
+            text = f"{var}.{key} = {constant}"
+        elif kind == "eq_left":
+            text = f"{constant} = {var}.{key}"
+        elif kind == "cmp":
+            op = draw(st.sampled_from(["<>", "<", ">="]))
+            text = f"{var}.{key} {op} {constant}"
+        elif kind == "not_eq":
+            text = f"NOT {var}.{key} = {constant}"
+        else:
+            text = f"({var}:{draw(st.sampled_from(LABELS + ['k']))})"
+        conjuncts.append(text)
+    return " AND ".join(conjuncts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    probe_graphs(),
+    probe_conjuncts(),
+    st.sampled_from(["->", "<-", "-"]),
+    st.booleans(),
+    param_values,
+)
+def test_probe_pushdown_parity(graph, where, arrow, optional, param):
+    """Probe-filtered MATCH at vectorized, interpreted and NAIVE_CONFIG.
+
+    The conjuncts push into the probes of node scans, the edge variable
+    and both edge endpoints; under OPTIONAL the block is seeded with a
+    bound ``n`` column, so ``n``'s conjuncts filter bound values instead
+    of a scan. The two expression engines share a plan and must agree
+    row for row; an ORDER BY over every binding fixes the row order, so
+    the naive reference must agree row for row as well.
+    """
+    from repro.config import DEFAULT_CONFIG, NAIVE_CONFIG
+
+    engine = make_engine(graph)
+    left, right = ("<-", "-") if arrow == "<-" else ("-", arrow)
+    pattern = f"(n){left}[e]{right}(m)"
+    if optional:
+        match = f"MATCH (n:X) OPTIONAL {pattern} WHERE {where}"
+    else:
+        match = f"MATCH {pattern} WHERE {where}"
+    text = f"SELECT id(n) AS a, id(e) AS b, id(m) AS c {match} ORDER BY a, b, c"
+    params = {"p": param}
+    interpreted = DEFAULT_CONFIG.with_(expressions="interpreted")
+
+    fast = engine.run(text, params=params)
+    slow = engine.run(text, params=params, config=interpreted)
+    naive = engine.run(text, params=params, config=NAIVE_CONFIG)
+    assert fast.columns == slow.columns == naive.columns
+    assert list(fast.rows) == list(slow.rows) == list(naive.rows)
+
+    # The unordered binding tables of the shared plan agree too.
+    tables = []
+    for config in (DEFAULT_CONFIG, interpreted):
+        ctx = EvalContext(engine.catalog, config=config)
+        ctx.params = params
+        tables.append(evaluate_match(engine.parse(text).body.match, ctx))
+    assert tables[0].columns == tables[1].columns
+    assert list(tables[0].rows) == list(tables[1].rows)

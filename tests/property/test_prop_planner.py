@@ -4,7 +4,8 @@ Pattern semantics is a join: the atom evaluation order can never change
 the binding table, only its cost. For random small graphs and random
 chains we check that all three planner modes — cost-based (statistics),
 heuristic (constant weights) and naive (syntax order) — agree, and that
-planning is a permutation (every atom scheduled exactly once).
+planning is a permutation (every atom scheduled exactly once), and that
+every greedy step picks the best atom under the bound set of that step.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,12 @@ from hypothesis import given, settings, strategies as st
 from repro.catalog import Catalog
 from repro.eval.context import EvalContext
 from repro.eval.match import _AnonNamer, decompose_chain, evaluate_block
-from repro.eval.planner import order_atoms, plan_atoms
+from repro.eval.planner import (
+    atom_score,
+    estimate_cardinality,
+    order_atoms,
+    plan_atoms,
+)
 from repro.lang import ast
 from repro.model.builder import GraphBuilder
 
@@ -115,3 +121,42 @@ def test_ordering_is_a_permutation(graph, chain, bound):
     steps = plan_atoms(atoms, bound, stats=graph.statistics())
     assert [id(s.atom) for s in steps] == [id(a) for a in ordered]
     assert all(s.estimate is not None and s.estimate >= 0.0 for s in steps)
+
+
+@given(
+    graphs(),
+    chains(),
+    st.sets(st.sampled_from(["n0", "n1", "n2"])),
+    st.booleans(),
+    st.dictionaries(
+        st.sampled_from(["n0", "n1", "n2", "n3", "e0", "e1"]),
+        st.just(("p",)),
+    ),
+)
+@settings(max_examples=120, deadline=None)
+def test_each_step_takes_the_best_remaining_atom(
+    graph, chain, bound, with_stats, pushed
+):
+    """Priorities move both ways as variables bind (an edge's estimate
+    drops once an endpoint is bound), so each selection must be the
+    minimum over every remaining atom re-scored under that step's
+    bound set — not under the set in force when it was last scored."""
+    atoms = decompose_chain(chain, _AnonNamer())
+    stats = graph.statistics() if with_stats else None
+    pushed = pushed or None
+
+    def priority(atom, bound_now):
+        score = atom_score(atom, bound_now)
+        if stats is None:
+            return (-score,)
+        return (estimate_cardinality(atom, bound_now, stats, pushed), -score)
+
+    steps = plan_atoms(atoms, bound, stats=stats, pushed_props=pushed)
+    bound_now = set(bound)
+    remaining = list(atoms)
+    for step in steps:
+        chosen = priority(step.atom, bound_now)
+        for atom in remaining:
+            assert chosen <= priority(atom, bound_now)
+        remaining = [atom for atom in remaining if atom is not step.atom]
+        bound_now |= step.atom.binds()
