@@ -12,6 +12,7 @@ raise-vs-succeed agreement when an expression can error.
 from hypothesis import given, settings, strategies as st
 
 from repro import GCoreEngine
+from repro.config import DEFAULT_CONFIG, NAIVE_CONFIG
 from repro.errors import EvaluationError
 from repro.eval.context import EvalContext
 from repro.eval.match import evaluate_match
@@ -302,8 +303,6 @@ def test_probe_pushdown_parity(graph, where, arrow, optional, param):
     row for row; an ORDER BY over every binding fixes the row order, so
     the naive reference must agree row for row as well.
     """
-    from repro.config import DEFAULT_CONFIG, NAIVE_CONFIG
-
     engine = make_engine(graph)
     left, right = ("<-", "-") if arrow == "<-" else ("-", arrow)
     pattern = f"(n){left}[e]{right}(m)"
