@@ -4,7 +4,7 @@ The streaming-update workload: a materialized ``GRAPH VIEW`` over the
 SNB graph receives a steady drip of ~1% graph deltas through
 ``engine.apply_update``. The incremental refresh patches the
 materialization from the changelog (touched-binding join-delta, support
-counts — :mod:`repro.eval.maintenance`); the ``incremental=False``
+counts — :mod:`repro.eval.maintenance`); the ``view_refresh="full"``
 reference recomputes the view from scratch. The acceptance bar for this
 subsystem: a 1%-delta incremental refresh is **>= 5x** faster than the
 full recompute at snb100 (>= 2x in CI's tiny smoke mode, where constant
@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro import GraphDelta
+from repro.config import DEFAULT_CONFIG
 
 from .conftest import SMOKE, full_persons, snb_engine
 
@@ -27,6 +28,9 @@ VIEW_BODY = (
     "MATCH (a:Person)-[e1:knows]->(b:Person)-[e2:knows]->(c:Person)"
 )
 VIEW_TEXT = f"GRAPH VIEW vknows AS ({VIEW_BODY})"
+
+#: The from-scratch reference refresh.
+FULL_REFRESH = DEFAULT_CONFIG.with_(view_refresh="full")
 
 _tag = itertools.count()
 
@@ -63,7 +67,7 @@ def view_engine():
 
 def test_full_recompute(benchmark, view_engine):
     """The from-scratch oracle: re-evaluate the view body every refresh."""
-    result = benchmark(view_engine.refresh_view, "vknows", incremental=False)
+    result = benchmark(view_engine.refresh_view, "vknows", config=FULL_REFRESH)
     assert result.edges
 
 
@@ -104,7 +108,7 @@ def test_incremental_at_least_5x_faster(view_engine):
 
     repeats = 3 if SMOKE else 5
     full_time = best(
-        lambda: engine.refresh_view("vknows", incremental=False), repeats
+        lambda: engine.refresh_view("vknows", config=FULL_REFRESH), repeats
     )
 
     def incremental_round():
@@ -117,7 +121,7 @@ def test_incremental_at_least_5x_faster(view_engine):
 
     # sanity: the maintained view still matches a from-scratch recompute
     incremental = engine.graph("vknows")
-    recomputed = engine.refresh_view("vknows", incremental=False)
+    recomputed = engine.refresh_view("vknows", config=FULL_REFRESH)
     assert incremental == recomputed
 
     speedup = full_time / incremental_time

@@ -1,10 +1,10 @@
 """Static semantic analysis of G-CORE queries (pre-planning).
 
 The analyzer walks the parsed AST — before any planning or execution —
-and returns typed :class:`Diagnostic` findings with stable codes,
-instead of the ad-hoc :class:`~repro.errors.SemanticError` raises of
-the runtime checks in :mod:`repro.eval.analysis`. See
-``docs/analysis.md`` for the code registry and the wire format.
+and returns typed :class:`Diagnostic` findings with stable codes. The
+runtime raises :class:`~repro.errors.SemanticError` from the same scope
+passes (:func:`check_match`). See ``docs/analysis.md`` for the code
+registry and the wire format.
 
 Entry points:
 
@@ -16,7 +16,7 @@ Entry points:
 * ``POST /analyze`` on the HTTP server.
 """
 
-from .analyzer import Analyzer, analyze
+from .analyzer import Analyzer, analyze, check_match
 from .diagnostics import (
     CODES,
     SEVERITIES,
@@ -29,6 +29,7 @@ from .diagnostics import (
 __all__ = [
     "Analyzer",
     "analyze",
+    "check_match",
     "AnalysisResult",
     "Diagnostic",
     "CodeInfo",

@@ -10,13 +10,16 @@ statement, the catalog metadata and the statistics of registered
 graphs. In particular it is **config-independent**: the same statement
 yields the same diagnostics under every
 :class:`~repro.config.ExecutionConfig`.
+
+:func:`check_match` is the runtime's gate: the same scope passes over
+one MATCH clause, raising on the first GC201–GC203 finding.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from ..errors import GCoreError, LexerError, ParseError
+from ..errors import GCoreError, LexerError, ParseError, SemanticError
 from ..lang import ast
 from ..lang.lexer import tokenize
 from ..lang.parser import Parser
@@ -27,6 +30,7 @@ from .satisfiability import check_satisfiability
 from .schema_checks import GraphFacts, check_chain_names, facts_for_graph
 from .scopes import (
     Scope,
+    check_all_paths_uses,
     collect_chain_sorts,
     collect_construct_sorts,
     collect_match_scope,
@@ -34,7 +38,7 @@ from .scopes import (
 from .spans import SpanIndex
 from .types import check_condition, infer_type
 
-__all__ = ["Analyzer", "analyze"]
+__all__ = ["Analyzer", "analyze", "check_match"]
 
 #: A pattern's resolution target when ``ON (subquery)`` makes the graph
 #: statically unknown — suppresses schema checks for its variables.
@@ -432,3 +436,21 @@ def analyze(
     analyzer = Analyzer(catalog=catalog, spans=spans)
     analyzer.analyze_statement(statement)
     return analyzer.result()
+
+
+def check_match(match: ast.MatchClause) -> Dict[str, str]:
+    """Enforce the Section 3 MATCH restrictions before evaluation.
+
+    Runs the analyzer's sort inference and OPTIONAL rule
+    (:func:`~repro.analysis.scopes.collect_match_scope`, GC201/GC203)
+    and its ALL-paths rule over each block's WHERE (GC202), and raises
+    :class:`~repro.errors.SemanticError` with the first finding's
+    message. Returns the sorts of the variables the clause declares.
+    """
+    analyzer = Analyzer()
+    scope = collect_match_scope(analyzer, match)
+    for block in (match.block, *match.optionals):
+        check_all_paths_uses(analyzer, scope, block.where)
+    if analyzer.diagnostics:
+        raise SemanticError(analyzer.diagnostics[0].message)
+    return scope.sorts

@@ -1,19 +1,22 @@
 """Pass 1 — variable scopes and sorts over full queries.
 
-Generalizes the MATCH-only inference of :func:`repro.eval.analysis.
-analyze_match` to every variable-binding position of a statement —
-MATCH blocks (including OPTIONAL), CONSTRUCT bodies, EXISTS patterns,
-PATH-clause chains and FROM table imports — and reports violations of
-the paper's static restrictions as :class:`~repro.analysis.diagnostics.
-Diagnostic` values instead of raising:
+Infers variable sorts at every variable-binding position of a
+statement — MATCH blocks (including OPTIONAL), CONSTRUCT bodies, EXISTS
+patterns, PATH-clause chains and FROM table imports — and reports
+violations of the paper's static restrictions as
+:class:`~repro.analysis.diagnostics.Diagnostic` values:
 
 * ``GC201 sort-clash`` — a variable occupies positions of two sorts
   ("it would be illegal to use n (a node) in the place of y (an edge)",
   Section 3);
 * ``GC202 all-paths-projection`` — an ``ALL``-paths variable escapes
-  graph projection (Section 3);
+  graph projection into a WHERE/WHEN condition (Section 3);
 * ``GC203 optional-shared-variable`` — OPTIONAL blocks share a variable
   absent from the enclosing pattern (Section 3, citing Pérez et al.).
+
+These are the only implementation of the Section 3 MATCH restrictions:
+the runtime raises from the same passes
+(:func:`repro.analysis.analyzer.check_match`).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "collect_chain_sorts",
     "collect_match_scope",
     "collect_construct_sorts",
+    "check_all_paths_uses",
     "check_optional_restriction",
 ]
 
@@ -76,13 +80,14 @@ class Scope:
             scope = scope.outer
         return False
 
-    def is_all_paths(self, name: str) -> bool:
+    def all_paths_names(self) -> FrozenSet[str]:
+        """The ALL-paths variables visible here, enclosing scopes included."""
+        names: Set[str] = set()
         scope: Optional[Scope] = self
         while scope is not None:
-            if name in scope.all_path_vars:
-                return True
+            names |= scope.all_path_vars
             scope = scope.outer
-        return False
+        return frozenset(names)
 
     def bound_names(self) -> FrozenSet[str]:
         names: Set[str] = set()
@@ -160,6 +165,64 @@ def collect_construct_sorts(
         if isinstance(item, ast.GraphRefItem):
             continue
         collect_chain_sorts(ctx, scope, item.chain)
+
+
+def _condition_variables(expr: Optional[ast.Expr], out: List[str]) -> None:
+    """Variable uses in *expr*, in evaluation order, into *out*.
+
+    A pattern predicate's variables are uses: it is correlated with the
+    enclosing bindings. EXISTS subqueries are skipped; their conditions
+    are checked against their own scope.
+    """
+    if expr is None:
+        return
+    if isinstance(expr, ast.Var):
+        out.append(expr.name)
+    elif isinstance(expr, ast.LabelTest):
+        out.append(expr.var)
+    elif isinstance(expr, ast.Prop):
+        _condition_variables(expr.base, out)
+    elif isinstance(expr, ast.Unary):
+        _condition_variables(expr.operand, out)
+    elif isinstance(expr, ast.Binary):
+        _condition_variables(expr.left, out)
+        _condition_variables(expr.right, out)
+    elif isinstance(expr, ast.FuncCall):
+        for arg in expr.args:
+            _condition_variables(arg, out)
+    elif isinstance(expr, ast.ListLiteral):
+        for item in expr.items:
+            _condition_variables(item, out)
+    elif isinstance(expr, ast.CaseExpr):
+        for condition, value in expr.whens:
+            _condition_variables(condition, out)
+            _condition_variables(value, out)
+        _condition_variables(expr.default, out)
+    elif isinstance(expr, ast.Index):
+        _condition_variables(expr.base, out)
+        _condition_variables(expr.index, out)
+    elif isinstance(expr, ast.ExistsPattern):
+        out.extend(e.var for e in expr.chain.elements if getattr(e, "var", None))
+
+
+def check_all_paths_uses(
+    ctx: "Analyzer", scope: Scope, expr: Optional[ast.Expr]
+) -> None:
+    """GC202: each use of an ALL-paths variable in a condition."""
+    all_paths = scope.all_paths_names()
+    if not all_paths:
+        return
+    uses: List[str] = []
+    _condition_variables(expr, uses)
+    for name in uses:
+        if name in all_paths:
+            ctx.emit(
+                "GC202",
+                f"ALL-paths variable {name!r} may only be used for "
+                f"graph projection",
+                anchor=name,
+                hint="use a SHORTEST path or move the use into CONSTRUCT",
+            )
 
 
 def _chain_variables(chain: ast.Chain) -> FrozenSet[str]:

@@ -16,9 +16,11 @@ produce noise:
 * ``GC206 non-boolean-where`` — a WHERE/WHEN condition whose type is
   known and not boolean (``truthy`` maps it to False: empty result);
 * ``GC207 aggregate-misuse`` — an aggregate outside a grouping context
-  or nested inside another aggregate;
-* ``GC202 all-paths-projection`` — an ALL-paths variable referenced in
-  WHERE (mirrors the runtime :class:`~repro.errors.SemanticError`).
+  or nested inside another aggregate.
+
+``GC202`` (an ALL-paths variable in a condition) is a scope rule: see
+:func:`~repro.analysis.scopes.check_all_paths_uses`, which
+:func:`check_condition` runs first.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Optional, TYPE_CHECKING
 from ..algebra.aggregates import AGGREGATE_NAMES
 from ..lang import ast
 from ..model.values import Date
-from .scopes import Scope, collect_chain_sorts
+from .scopes import Scope, check_all_paths_uses, collect_chain_sorts
 
 if TYPE_CHECKING:  # pragma: no cover
     from .analyzer import Analyzer
@@ -81,14 +83,12 @@ def infer_type(
     *,
     allow_aggregates: bool = False,
     in_aggregate: bool = False,
-    in_where: bool = False,
 ) -> Optional[str]:
     """The lattice type of *expr*, emitting diagnostics along the way.
 
     ``allow_aggregates`` marks grouping contexts (SELECT items, ORDER
     BY, CONSTRUCT property assignments); ``in_aggregate`` marks being
-    inside an aggregate call already (nesting is GC207); ``in_where``
-    marks WHERE/WHEN subtrees, where ALL-paths variables are illegal.
+    inside an aggregate call already (nesting is GC207).
     """
     if expr is None:
         return None
@@ -104,7 +104,7 @@ def infer_type(
             infer_type(
                 ctx, scope, item,
                 allow_aggregates=allow_aggregates,
-                in_aggregate=in_aggregate, in_where=in_where,
+                in_aggregate=in_aggregate,
             )
         return "list"
 
@@ -119,14 +119,6 @@ def infer_type(
                     hint="bind it in MATCH, or check the spelling",
                 )
             return None
-        if in_where and scope.is_all_paths(expr.name):
-            ctx.emit(
-                "GC202",
-                f"ALL-paths variable {expr.name!r} may only be used for "
-                f"graph projection",
-                anchor=expr.name,
-                hint="use a SHORTEST path or move the use into CONSTRUCT",
-            )
         if sort == "value":
             return None
         return sort  # node | edge | path
@@ -135,7 +127,7 @@ def infer_type(
         base = infer_type(
             ctx, scope, expr.base,
             allow_aggregates=allow_aggregates,
-            in_aggregate=in_aggregate, in_where=in_where,
+            in_aggregate=in_aggregate,
         )
         if base in ("bool", "num", "str", "date", "list"):
             ctx.emit(
@@ -163,7 +155,7 @@ def infer_type(
         operand = infer_type(
             ctx, scope, expr.operand,
             allow_aggregates=allow_aggregates,
-            in_aggregate=in_aggregate, in_where=in_where,
+            in_aggregate=in_aggregate,
         )
         if expr.op == "not":
             if operand is not None and operand != "bool":
@@ -185,33 +177,32 @@ def infer_type(
         return _infer_binary(
             ctx, scope, expr,
             allow_aggregates=allow_aggregates,
-            in_aggregate=in_aggregate, in_where=in_where,
+            in_aggregate=in_aggregate,
         )
 
     if isinstance(expr, ast.FuncCall):
         return _infer_call(
             ctx, scope, expr,
             allow_aggregates=allow_aggregates,
-            in_aggregate=in_aggregate, in_where=in_where,
+            in_aggregate=in_aggregate,
         )
 
     if isinstance(expr, ast.CaseExpr):
         branch_types = set()
         for condition, value in expr.whens:
-            check_condition(
-                ctx, scope, condition, clause="CASE WHEN",
-                allow_aggregates=allow_aggregates, in_where=in_where,
+            _check_boolean(
+                ctx, scope, condition, "CASE WHEN", allow_aggregates
             )
             branch_types.add(infer_type(
                 ctx, scope, value,
                 allow_aggregates=allow_aggregates,
-                in_aggregate=in_aggregate, in_where=in_where,
+                in_aggregate=in_aggregate,
             ))
         if expr.default is not None:
             branch_types.add(infer_type(
                 ctx, scope, expr.default,
                 allow_aggregates=allow_aggregates,
-                in_aggregate=in_aggregate, in_where=in_where,
+                in_aggregate=in_aggregate,
             ))
         if len(branch_types) == 1:
             return branch_types.pop()
@@ -221,12 +212,12 @@ def infer_type(
         base = infer_type(
             ctx, scope, expr.base,
             allow_aggregates=allow_aggregates,
-            in_aggregate=in_aggregate, in_where=in_where,
+            in_aggregate=in_aggregate,
         )
         index = infer_type(
             ctx, scope, expr.index,
             allow_aggregates=allow_aggregates,
-            in_aggregate=in_aggregate, in_where=in_where,
+            in_aggregate=in_aggregate,
         )
         if base is not None and base != "list":
             ctx.emit("GC205", f"indexing into a {base} value")
@@ -251,17 +242,17 @@ def infer_type(
 
 def _infer_binary(
     ctx: "Analyzer", scope: Scope, expr: ast.Binary, *,
-    allow_aggregates: bool, in_aggregate: bool, in_where: bool,
+    allow_aggregates: bool, in_aggregate: bool,
 ) -> Optional[str]:
     left = infer_type(
         ctx, scope, expr.left,
         allow_aggregates=allow_aggregates,
-        in_aggregate=in_aggregate, in_where=in_where,
+        in_aggregate=in_aggregate,
     )
     right = infer_type(
         ctx, scope, expr.right,
         allow_aggregates=allow_aggregates,
-        in_aggregate=in_aggregate, in_where=in_where,
+        in_aggregate=in_aggregate,
     )
     op = expr.op
 
@@ -332,7 +323,7 @@ def _infer_binary(
 
 def _infer_call(
     ctx: "Analyzer", scope: Scope, expr: ast.FuncCall, *,
-    allow_aggregates: bool, in_aggregate: bool, in_where: bool,
+    allow_aggregates: bool, in_aggregate: bool,
 ) -> Optional[str]:
     name = expr.name.lower()
 
@@ -355,7 +346,7 @@ def _infer_call(
             infer_type(
                 ctx, scope, arg,
                 allow_aggregates=allow_aggregates,
-                in_aggregate=True, in_where=in_where,
+                in_aggregate=True,
             )
         if name == "collect":
             return "list"
@@ -367,7 +358,7 @@ def _infer_call(
         infer_type(
             ctx, scope, arg,
             allow_aggregates=allow_aggregates,
-            in_aggregate=in_aggregate, in_where=in_where,
+            in_aggregate=in_aggregate,
         )
         for arg in expr.args
     ]
@@ -389,17 +380,23 @@ def check_condition(
     expr: Optional[ast.Expr],
     *,
     clause: str = "WHERE",
-    allow_aggregates: bool = False,
-    in_where: bool = True,
 ) -> None:
-    """Type-check a boolean position (WHERE / WHEN / CASE WHEN)."""
+    """Check a WHERE / WHEN condition: GC202 uses, then its type."""
     if expr is None:
         return
-    inferred = infer_type(
-        ctx, scope, expr,
-        allow_aggregates=allow_aggregates,
-        in_where=in_where,
-    )
+    check_all_paths_uses(ctx, scope, expr)
+    _check_boolean(ctx, scope, expr, clause, False)
+
+
+def _check_boolean(
+    ctx: "Analyzer",
+    scope: Scope,
+    expr: ast.Expr,
+    clause: str,
+    allow_aggregates: bool,
+) -> None:
+    """Type-check a boolean position (GC206 unless it may be boolean)."""
+    inferred = infer_type(ctx, scope, expr, allow_aggregates=allow_aggregates)
     if inferred is not None and inferred != "bool":
         ctx.emit(
             "GC206",

@@ -2,11 +2,9 @@
 
 The engine ships every performance-critical layer in (at least) two
 implementations — a fast path and a serial reference oracle — plus a
-worker-pool parallelism degree. Historically each axis had its own
-ad-hoc switch (``naive=True``, ``ctx.columnar_executor``,
-``ctx.vectorized_expressions``, ``refresh_view(incremental=...)``);
-:class:`ExecutionConfig` consolidates all of them into one frozen,
-validated value accepted by :meth:`GCoreEngine.run
+worker-pool parallelism degree. :class:`ExecutionConfig` is the only
+switch that selects among them: one frozen, validated value accepted
+by :meth:`GCoreEngine.run
 <repro.engine.GCoreEngine.run>`, :meth:`~repro.engine.GCoreEngine.prepare`
 executions, :meth:`~repro.engine.GCoreEngine.refresh_view`, the HTTP
 wire protocol (the ``"config"`` request field) and the REPL ``.config``
@@ -24,8 +22,7 @@ parallelism ``int >= 1`` (``"serial"`` = 1) morsel worker-pool size
 ========== =========================== ==============================
 
 ``DEFAULT_CONFIG`` is the fast serial lattice point; ``NAIVE_CONFIG``
-is the full row-at-a-time reference column that the deprecated
-``naive=True`` argument maps onto. Invalid axis values raise
+is the full row-at-a-time reference column. Invalid axis values raise
 :class:`~repro.errors.ValidationError` (wire code ``validation_error``),
 as do unknown keys in :meth:`ExecutionConfig.from_json`.
 """
@@ -144,7 +141,7 @@ class ExecutionConfig:
 #: The default fast lattice point (what ``engine.run(text)`` executes).
 DEFAULT_CONFIG = ExecutionConfig()
 
-#: The full reference column — what the deprecated ``naive=True`` maps to.
+#: The full reference column: every layer at its reference oracle.
 NAIVE_CONFIG = ExecutionConfig(
     planner="naive",
     executor="reference",

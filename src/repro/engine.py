@@ -50,16 +50,16 @@ materializations *incrementally* refreshable — see
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Union
 
 from .catalog import Catalog, CatalogSnapshot
-from .config import DEFAULT_CONFIG, NAIVE_CONFIG, ExecutionConfig
-from .analysis import AnalysisResult, analyze as analyze_statement
+from .config import DEFAULT_CONFIG, ExecutionConfig
+from .analysis import AnalysisResult, analyze as analyze_statement, check_match
 from .errors import (
     AnalysisError,
     EvaluationError,
+    GCoreError,
     SemanticError,
     StaleViewError,
     UnknownGraphError,
@@ -77,29 +77,6 @@ from .table import Table
 from .algebra.binding import BindingTable
 
 __all__ = ["EngineSnapshot", "GCoreEngine", "PreparedQuery"]
-
-
-def _resolve_config(
-    config: Optional[ExecutionConfig], naive: bool
-) -> ExecutionConfig:
-    """Fold the deprecated ``naive=True`` flag into an ExecutionConfig.
-
-    An explicit *config* always wins; ``naive=True`` without one maps to
-    :data:`~repro.config.NAIVE_CONFIG` (the full reference column it
-    historically selected) and warns.
-    """
-    if naive:
-        warnings.warn(
-            "naive=True is deprecated; pass "
-            "config=ExecutionConfig(planner='naive', executor='reference', "
-            "expressions='interpreted', paths='naive') "
-            "(repro.config.NAIVE_CONFIG) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if config is None:
-            return NAIVE_CONFIG
-    return config if config is not None else DEFAULT_CONFIG
 
 
 def _collect_params(node, names: Set[str]) -> None:
@@ -495,7 +472,6 @@ class GCoreEngine:
     def refresh_view(
         self,
         name: str,
-        incremental: bool = True,
         config: Optional[ExecutionConfig] = None,
     ) -> PathPropertyGraph:
         """Bring a GRAPH VIEW up to date with its base graphs.
@@ -508,20 +484,16 @@ class GCoreEngine:
         the changelog at a cost proportional to the deltas. Anything else
         — path atoms, aggregates, OPTIONAL, a wholesale
         ``register_graph`` replacement — falls back to from-scratch
-        recomputation, which ``incremental=False`` also forces (the
-        reference oracle the property suite compares against), as does a
-        *config* with ``view_refresh="full"``. A view whose dependencies
-        did not change is returned as-is. Returns the current
-        materialization.
+        recomputation. A *config* with ``view_refresh="full"`` always
+        recomputes (the reference oracle the property suite compares
+        against). Otherwise a view whose dependencies did not change is
+        returned as-is. Returns the current materialization.
         """
         from .eval.maintenance import refresh_view as run_refresh
 
-        config = config if config is not None else DEFAULT_CONFIG
-        if config.view_refresh == "full":
-            incremental = False
         with self._lock:
             ctx = EvalContext(self.catalog, self._ids, config=config)
-            result, strategy = run_refresh(name, ctx, incremental=incremental)
+            result, strategy = run_refresh(name, ctx)
             if strategy != "unchanged":
                 self.clear_plan_cache()
         return result.with_name(name)
@@ -639,7 +611,6 @@ class GCoreEngine:
         self,
         text_or_statement: Union[str, ast.Statement],
         params: Optional[dict] = None,
-        naive: bool = False,
         config: Optional[ExecutionConfig] = None,
         strict: bool = False,
     ) -> QueryResult:
@@ -655,9 +626,7 @@ class GCoreEngine:
         execution-mode lattice point — planner, executor, expression
         engine, path engine, view refresh, and worker-pool parallelism.
         Non-default configs bypass the prepared-query cache so cached
-        default-mode plans never leak into pinned runs. (The deprecated
-        ``naive`` flag is folded into a config by ``_resolve_config``;
-        see :data:`~repro.config.NAIVE_CONFIG`.)
+        default-mode plans never leak into pinned runs.
 
         ``strict=True`` runs the static analyzer first
         (:meth:`analyze`) and raises
@@ -665,7 +634,7 @@ class GCoreEngine:
         execution — when error-level diagnostics are found. Warnings
         and infos never block; EXPLAIN surfaces them.
         """
-        config = _resolve_config(config, naive)
+        config = config if config is not None else DEFAULT_CONFIG
         if strict:
             analysis = self.analyze(text_or_statement)
             if not analysis.ok:
@@ -684,11 +653,9 @@ class GCoreEngine:
         statement: ast.Statement,
         params: Optional[dict] = None,
         plans: Optional[PlanCache] = None,
-        naive: bool = False,
         catalog: Optional[CatalogSnapshot] = None,
         config: Optional[ExecutionConfig] = None,
     ) -> QueryResult:
-        config = _resolve_config(config, naive)
         if catalog is None and isinstance(statement, ast.GraphViewStmt):
             # GRAPH VIEW registers a materialization: a catalog write,
             # serialized like every other mutation.
@@ -754,23 +721,19 @@ class GCoreEngine:
     def bindings(
         self,
         match_text: str,
-        naive: bool = False,
         config: Optional[ExecutionConfig] = None,
     ) -> BindingTable:
         """Evaluate a standalone ``MATCH ...`` fragment to a binding table.
 
         This mirrors the binding tables the paper prints in Section 3 and
         is used heavily by the reproduction tests and benchmarks.
-        *config* pins the execution-mode lattice point (the deprecated
-        boolean flag folds into :data:`~repro.config.NAIVE_CONFIG`, the
-        full row-at-a-time reference column).
+        *config* pins the execution-mode lattice point.
         """
         parser = Parser(tokenize(match_text))
         match = parser._match_clause()
         parser.expect_eof()
-        ctx = EvalContext(
-            self.catalog, self._ids, config=_resolve_config(config, naive)
-        )
+        check_match(match)
+        ctx = EvalContext(self.catalog, self._ids, config=config)
         return evaluate_match(match, ctx)
 
     def explain(
@@ -836,7 +799,7 @@ class GCoreEngine:
                     return resolver.default_graph()
                 if isinstance(location.on, str):
                     return resolver.graph(location.on)
-            except Exception:
+            except GCoreError:
                 return None
             return None  # ON (subquery): no statistics without running it
 

@@ -372,7 +372,7 @@ def _evaluate_item(
 
     # ---------------- Phase 3: WHEN filtering ---------------------------
     if item.when is not None:
-        if ctx.use_vectorized():
+        if ctx.config.expressions == "vectorized":
             surviving = set(compiled_filter_rows(table, ctx, [item.when]))
         else:
             rows = table.rows

@@ -6,8 +6,8 @@ expression for a whole batch of rows (or, in grouped form, a batch of
 GROUP BY groups) directly against a :class:`~repro.algebra.binding.
 BindingTable`'s column vectors. This replaces the per-row recursive
 dispatch of :class:`~repro.eval.expressions.ExpressionEvaluator` (which
-stays as the reference oracle behind ``naive=True`` /
-``ctx.vectorized_expressions = False``) on the hot paths: WHERE filters,
+stays as the reference oracle at ``expressions="interpreted"``) on the
+hot paths: WHERE filters,
 SELECT projections and GROUP BY aggregation.
 
 Semantics contract — the kernels must be *observationally identical* to

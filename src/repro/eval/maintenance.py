@@ -321,16 +321,17 @@ def build_state(plan: ViewPlan, omega: BindingTable) -> ViewState:
 # ---------------------------------------------------------------------------
 
 def refresh_view(
-    name: str, ctx: EvalContext, incremental: bool = True
+    name: str, ctx: EvalContext
 ) -> Tuple[PathPropertyGraph, str]:
     """Bring view *name* up to date; returns (graph, strategy used).
 
     The strategy is ``"unchanged"`` (no dependency moved — the cached
     materialization is returned as-is), ``"incremental"`` (the
     materialization was patched from the dependency changelog) or
-    ``"full"`` (from-scratch recomputation, also the ``incremental=False``
-    reference oracle).
+    ``"full"`` (from-scratch recomputation). ``ctx.config.view_refresh
+    == "full"`` always recomputes: that is the reference oracle.
     """
+    incremental = ctx.config.view_refresh == "incremental"
     catalog = ctx.catalog
     query = catalog.view_query(name)
     if query is None:

@@ -36,7 +36,6 @@ from ..model.values import gcore_equals, truthy
 from ..paths.automaton import NFA, compile_regex, regex_view_names
 from ..paths.product import PathFinder
 from ..paths.walk import AllPathsHandle, Walk
-from .analysis import analyze_match
 from .context import EvalContext
 from .expressions import ExpressionEvaluator
 from .kernels import ExpressionCompiler, KernelContext, compiled_filter_rows
@@ -1189,9 +1188,9 @@ def _ordered_atoms(
     pushed-down WHERE conjuncts into the cardinality estimates.
     """
     bound = set(table.columns)
-    if ctx.naive_planner:
+    if ctx.config.planner == "naive":
         return order_atoms(atoms, bound, naive=True)
-    stats = graph.statistics() if ctx.use_cost_planner else None
+    stats = graph.statistics() if ctx.config.planner == "cost" else None
     cache = ctx.plan_cache
     if cache is None:
         return order_atoms(
@@ -1365,7 +1364,7 @@ def evaluate_block(
     primary_graph: Optional[PathPropertyGraph] = None
     block_default = _block_default_graph(block, ctx)
     columnar = ctx.config.executor == "columnar"
-    vectorized = ctx.use_vectorized()
+    vectorized = ctx.config.expressions == "vectorized"
     compiler = ExpressionCompiler(ctx) if vectorized else None
     # Predicate pushdown: total WHERE conjuncts apply as soon as their
     # variables are bound — single-variable ones right at the candidate
@@ -1455,10 +1454,13 @@ def evaluate_match(
     ctx: EvalContext,
     seed: Optional[BindingTable] = None,
 ) -> BindingTable:
-    """Evaluate a full MATCH clause: main block then OPTIONAL blocks (A.2)."""
+    """Evaluate a full MATCH clause: main block then OPTIONAL blocks (A.2).
+
+    The caller has already enforced the Section 3 restrictions with
+    :func:`repro.analysis.check_match` (once per clause).
+    """
     if match is None:
         return seed if seed is not None else BindingTable.unit()
-    analyze_match(match)
     table = evaluate_block(match.block, ctx, seed)
     for optional in match.optionals:
         extended = evaluate_block(optional, ctx, seed=table)

@@ -530,7 +530,8 @@ def _block_tail_worker(payload):
     ctx = _worker_context(config, params, active, graph, default_graph)
     ev = ExpressionEvaluator(ctx)
     compiler = (
-        ExpressionCompiler(ctx) if ctx.use_vectorized() else None
+        ExpressionCompiler(ctx) if ctx.config.expressions == "vectorized"
+        else None
     )
     table = table_from_payload(table_wire)
     table = run_atom_sequence(
@@ -634,7 +635,7 @@ def parallel_filter(
     which conjuncts any row reaches — error semantics included.
     """
     config = ctx.config
-    if config.serial or not ctx.use_vectorized():
+    if config.serial or config.expressions != "vectorized":
         return None
     if len(table) < MIN_PARALLEL_FILTER_ROWS:
         return None
@@ -721,7 +722,7 @@ def parallel_grouped_cells(
     from .expressions import expr_variables  # local import: cycle
 
     config = ctx.config
-    if config.serial or not ctx.use_vectorized():
+    if config.serial or config.expressions != "vectorized":
         return None
     if len(specs) < MIN_PARALLEL_GROUPS:
         return None

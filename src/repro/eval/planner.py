@@ -19,9 +19,9 @@ Every step re-scores every remaining atom under the current bound set
 and takes the best. Priorities move in both directions as variables
 bind: an edge's estimate *drops* once an endpoint is bound, so a cached
 priority from an earlier step is never trusted (a chain has a handful of
-atoms, so the quadratic re-scoring is cheap). ``naive=True`` disables
-reordering entirely (pure syntax order); the ablation benchmark EXP-B1
-measures the difference.
+atoms, so the quadratic re-scoring is cheap). ``planner="naive"``
+disables reordering entirely (pure syntax order); the ablation
+benchmark EXP-B1 measures the difference.
 
 :func:`plan_atoms` returns the full trace — the score/estimate each atom
 actually had at selection time — which EXPLAIN renders; :class:`PlanCache`

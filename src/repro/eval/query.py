@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from typing import FrozenSet, Optional, Union
 
 from ..algebra.binding import Binding, BindingTable
+from ..analysis import check_match
 from ..errors import SemanticError
 from ..lang import ast
 from ..model.graph import PathPropertyGraph
 from ..model.setops import graph_difference, graph_intersect, graph_union
 from ..table import Table
-from .analysis import analyze_match
 from .construct import evaluate_construct
 from .context import EvalContext
 from .match import evaluate_match
@@ -125,8 +125,7 @@ def _evaluate_basic(
                 seed_row = seed.project(shared)
                 omega = omega.filter(lambda r: r.compatible(seed_row))
     elif basic.match is not None:
-        sorts = analyze_match(basic.match)
-        declared = frozenset(sorts)
+        declared = frozenset(check_match(basic.match))
         seed_table: Optional[BindingTable] = None
         if seed is not None:
             # Outer variables act as parameters of the correlated subquery

@@ -12,7 +12,7 @@ evaluate whole column batches — grouping keys come from one kernel pass,
 aggregates consume per-group column slices, plain-variable items read
 their vector directly. The row-at-a-time path (per-row
 :class:`~repro.eval.expressions.ExpressionEvaluator` calls) is retained
-as the reference oracle behind ``ctx.use_vectorized()`` and produces
+as the reference oracle at ``expressions="interpreted"`` and produces
 bit-identical tables — rows, order and columns (property-tested).
 """
 
@@ -64,7 +64,7 @@ def evaluate_select(
     aggregated = bool(select.group_by) or any(
         expr_has_aggregate(item.expr) for item in select.items
     )
-    vectorized = ctx.use_vectorized()
+    vectorized = ctx.config.expressions == "vectorized"
     compiler = ExpressionCompiler(ctx) if vectorized else None
 
     # GROUP BY / ORDER BY may reference SELECT aliases; resolve them to

@@ -66,6 +66,18 @@ class TestExplainSurfacing:
     def test_explain_clean_query_says_none(self, engine):
         assert "diagnostics: none" in engine.explain(CLEAN_QUERY)
 
+    def test_explain_unknown_graph_renders_plan_and_gc101(self, engine):
+        # The pattern's graph does not resolve: EXPLAIN drops the
+        # estimates for it but still renders the plan and the finding.
+        lines = engine.explain(
+            "SELECT n.firstName MATCH (n:Person) ON nosuch"
+        ).splitlines()
+        assert "    pattern ON nosuch: (n:Person)" in lines
+        assert any(line.strip().startswith("node  score=") for line in lines)
+        assert "est~" not in "\n".join(lines)
+        (finding,) = [line for line in lines if "GC101" in line]
+        assert "'nosuch' is not in the catalog" in finding
+
 
 class TestSplitStatements:
     def test_semicolons_comments_and_line_offsets(self):

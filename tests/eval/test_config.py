@@ -1,12 +1,8 @@
-"""ExecutionConfig: validation, wire forms, legacy flags, API plumbing.
+"""ExecutionConfig: validation, wire forms, API plumbing.
 
-The mode-lattice value itself (:mod:`repro.config`), the deprecated
-``naive=True`` alias, the legacy EvalContext flag properties, the
-EXPLAIN config line, prepared-query config overrides, and the REPL
-``.config`` command.
+The mode-lattice value itself (:mod:`repro.config`), the EXPLAIN config
+line, prepared-query config overrides, and the REPL ``.config`` command.
 """
-
-import warnings
 
 import pytest
 
@@ -18,10 +14,7 @@ from repro import (
     ValidationError,
 )
 from repro.__main__ import ShellState, _parse_config_args, handle_command
-from repro.catalog import Catalog
 from repro.datasets import social_graph
-from repro.engine import _resolve_config
-from repro.eval.context import EvalContext
 
 
 def make_engine():
@@ -120,50 +113,6 @@ class TestWireForm:
         assert "parallelism=serial" in DEFAULT_CONFIG.describe()
 
 
-class TestLegacyFlags:
-    def test_naive_planner_selects_the_reference_column(self):
-        ctx = EvalContext(Catalog())
-        ctx.naive_planner = True
-        assert ctx.config == NAIVE_CONFIG
-        ctx.naive_planner = False
-        assert ctx.config == DEFAULT_CONFIG
-
-    def test_cost_planner_toggle(self):
-        ctx = EvalContext(Catalog())
-        ctx.use_cost_planner = False
-        assert ctx.config.planner == "greedy"
-        ctx.use_cost_planner = True
-        assert ctx.config.planner == "cost"
-
-    def test_columnar_executor_cascades_like_history(self):
-        ctx = EvalContext(Catalog())
-        ctx.columnar_executor = False
-        assert ctx.config.executor == "reference"
-        assert ctx.config.expressions == "interpreted"
-        assert ctx.config.paths == "naive"
-        # a later explicit assignment overrides the cascade
-        ctx.vectorized_expressions = True
-        assert ctx.config.expressions == "vectorized"
-        assert ctx.config.executor == "reference"
-
-    def test_resolve_config_deprecates_naive(self):
-        with pytest.warns(DeprecationWarning):
-            assert _resolve_config(None, True) == NAIVE_CONFIG
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _resolve_config(None, False) == DEFAULT_CONFIG
-        # an explicit config always wins over the legacy flag
-        with pytest.warns(DeprecationWarning):
-            assert _resolve_config(DEFAULT_CONFIG, True) == DEFAULT_CONFIG
-
-    def test_engine_run_naive_true_warns_and_matches_naive_config(self):
-        engine = make_engine()
-        query = "SELECT n.firstName MATCH (n:Person) ORDER BY n.firstName"
-        with pytest.warns(DeprecationWarning):
-            legacy = engine.run(query, naive=True)
-        assert legacy.rows == engine.run(query, config=NAIVE_CONFIG).rows
-
-
 class TestEnginePlumbing:
     def test_explain_prints_the_active_config(self):
         engine = make_engine()
@@ -193,6 +142,15 @@ class TestEnginePlumbing:
         assert snapshot.execute_prepared(
             prepared, config=ExecutionConfig(planner="greedy")
         ).rows == reference.rows
+
+    def test_config_is_the_only_mode_switch(self):
+        engine = make_engine()
+        with pytest.raises(TypeError):
+            engine.run("SELECT 1", naive=True)
+        with pytest.raises(TypeError):
+            engine.bindings("MATCH (n)", naive=True)
+        with pytest.raises(TypeError):
+            engine.refresh_view("v", **{"incremental": False})
 
     def test_refresh_view_full_mode_forces_recompute(self):
         engine = make_engine()

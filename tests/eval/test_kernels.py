@@ -2,7 +2,7 @@
 
 Every test runs the same query through the compiled-kernel engine (the
 default), the interpreted-expression arm (columnar executor, row-at-a-time
-``ExpressionEvaluator``), and the full ``naive=True`` reference, asserting
+``ExpressionEvaluator``), and the full ``NAIVE_CONFIG`` reference, asserting
 exact agreement — including the comparison/aggregate semantics fixes of
 this PR (bool/number separation, DISTINCT normalization, Date extrema)
 and the WHERE predicate pushdown machinery.
@@ -11,6 +11,7 @@ and the WHERE predicate pushdown machinery.
 import pytest
 
 from repro import GCoreEngine, GraphBuilder
+from repro.config import DEFAULT_CONFIG, NAIVE_CONFIG
 from repro.eval.context import EvalContext
 from repro.eval.query import evaluate_statement
 from repro.lang.lexer import tokenize
@@ -31,12 +32,13 @@ def typed_rows(table: Table):
 def run_modes(engine, text, params=None):
     """(vectorized, interpreted-expressions, naive-reference) results."""
     vectorized = engine.run(text, params=params)
-    ctx = EvalContext(engine.catalog)
-    ctx.vectorized_expressions = False
+    ctx = EvalContext(
+        engine.catalog, config=DEFAULT_CONFIG.with_(expressions="interpreted")
+    )
     if params:
         ctx.params = dict(params)
     interpreted = evaluate_statement(engine.parse(text), ctx)
-    naive = engine.run(text, params=params, naive=True)
+    naive = engine.run(text, params=params, config=NAIVE_CONFIG)
     return vectorized, interpreted, naive
 
 
@@ -176,9 +178,9 @@ class TestAggregationParity:
             ("SELECT SUM(*) AS s MATCH (n:Thing)", "requires an argument"),
             ("SELECT FOO(*) AS s MATCH (n:Thing)", "unknown aggregate"),
         ):
-            for naive in (False, True):
+            for config in (None, NAIVE_CONFIG):
                 with pytest.raises(EvaluationError, match=fragment):
-                    typed_engine.run(query, naive=naive)
+                    typed_engine.run(query, config=config)
 
     def test_count_star_maximality_over_presence_masks(self, typed_engine):
         # OPTIONAL misses leave m ABSENT; COUNT(*) counts only maximal rows.
@@ -201,7 +203,7 @@ class TestErrorParity:
         with pytest.raises(EvaluationError):
             typed_engine.run(query)
         with pytest.raises(EvaluationError):
-            typed_engine.run(query, naive=True)
+            typed_engine.run(query, config=NAIVE_CONFIG)
 
     def test_short_circuit_avoids_error_in_both_modes(self, typed_engine):
         # n.name + 1 would raise, but AND never reaches it when the
@@ -211,7 +213,7 @@ class TestErrorParity:
             "WHERE n.rank > 99 AND n.name + 1 > 0"
         )
         assert typed_engine.run(query).rows == ()
-        assert typed_engine.run(query, naive=True).rows == ()
+        assert typed_engine.run(query, config=NAIVE_CONFIG).rows == ()
 
     def test_division_by_zero_raises_in_both_modes(self, typed_engine):
         from repro.errors import EvaluationError
@@ -220,7 +222,7 @@ class TestErrorParity:
         with pytest.raises(EvaluationError):
             typed_engine.run(query)
         with pytest.raises(EvaluationError):
-            typed_engine.run(query, naive=True)
+            typed_engine.run(query, config=NAIVE_CONFIG)
 
 
 class TestPushdown:
@@ -277,7 +279,7 @@ class TestPushdown:
         t2 = typed_engine.bindings(
             "MATCH (n)-[e:rel]->(m) WHERE n.rank <= 2 AND e.w > 2 "
             "AND m.name = 'gamma'",
-            naive=True,
+            config=NAIVE_CONFIG,
         )
         assert t1 == t2
         assert list(t1.rows) == list(t2.rows)
@@ -286,7 +288,7 @@ class TestPushdown:
     def test_label_test_conjunct_pushes(self, typed_engine):
         t1 = typed_engine.bindings("MATCH (n)-[:rel]->(m) WHERE (m:Odd)")
         t2 = typed_engine.bindings(
-            "MATCH (n)-[:rel]->(m) WHERE (m:Odd)", naive=True
+            "MATCH (n)-[:rel]->(m) WHERE (m:Odd)", config=NAIVE_CONFIG
         )
         assert t1 == t2 and len(t1) == 1
 
@@ -327,19 +329,6 @@ class TestExplainPushdown:
 
 
 class TestVectorizedFlagPlumbing:
-    def test_context_flag_defaults(self):
-        from repro.catalog import Catalog
-
-        ctx = EvalContext(Catalog())
-        assert ctx.use_vectorized() is True
-        ctx.naive_planner = True
-        assert ctx.use_vectorized() is False
-        ctx.columnar_executor = True
-        assert ctx.use_vectorized() is True
-        ctx.vectorized_expressions = False
-        assert ctx.use_vectorized() is False
-        assert ctx.child().use_vectorized() is False
-
     def test_projection_of_expressions(self, typed_engine):
         assert_modes_agree(
             typed_engine,
@@ -388,8 +377,10 @@ class TestBindingParity:
     def evaluate(self, engine, query, vectorized):
         from repro.eval.match import evaluate_match
 
-        ctx = EvalContext(engine.catalog)
-        ctx.vectorized_expressions = vectorized
+        expressions = "vectorized" if vectorized else "interpreted"
+        ctx = EvalContext(
+            engine.catalog, config=DEFAULT_CONFIG.with_(expressions=expressions)
+        )
         return evaluate_match(_match_clause(query), ctx)
 
     @pytest.mark.parametrize("query", QUERIES)
@@ -398,7 +389,7 @@ class TestBindingParity:
         slow = self.evaluate(engine, query, vectorized=False)
         assert fast.columns == slow.columns
         assert list(fast.rows) == list(slow.rows)
-        assert fast == engine.bindings(query, naive=True)
+        assert fast == engine.bindings(query, config=NAIVE_CONFIG)
 
 
 #: Every literal type, multi-valued and empty sets, and the

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import GCoreEngine, GraphBuilder, GraphDelta
+from repro.config import DEFAULT_CONFIG
 from repro.errors import SemanticError, StaleViewError, UnknownGraphError
 from repro.eval.maintenance import analyze_view, describe_strategy
 from repro.eval.planner import PlanCache
@@ -189,7 +190,9 @@ class TestIncrementalRefresh:
     def test_forced_full_recompute_matches(self, eng):
         eng.run(IDENTITY_VIEW)
         eng.apply_update("base", GraphDelta().remove_edge("e1"))
-        got = eng.refresh_view("v", incremental=False)
+        got = eng.refresh_view(
+            "v", config=DEFAULT_CONFIG.with_(view_refresh="full")
+        )
         assert got == oracle(eng, self.BODY)
 
     def test_base_replacement_falls_back_to_full(self, eng):

@@ -3,6 +3,7 @@ prepared-query plan cache."""
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG, NAIVE_CONFIG
 from repro.engine import PreparedQuery
 from repro.errors import EvaluationError
 from repro.eval.match import _AnonNamer, decompose_chain
@@ -227,10 +228,10 @@ class TestCostBasedOrdering:
         clause = parser._match_clause()
         parser.expect_eof()
         tables = []
-        for naive, cost in ((False, True), (False, False), (True, False)):
-            ctx = EvalContext(engine.catalog)
-            ctx.naive_planner = naive
-            ctx.use_cost_planner = cost
+        for config in (
+            DEFAULT_CONFIG, DEFAULT_CONFIG.with_(planner="greedy"), NAIVE_CONFIG
+        ):
+            ctx = EvalContext(engine.catalog, config=config)
             tables.append(evaluate_match(clause, ctx))
         assert set(tables[0]) == set(tables[1]) == set(tables[2])
 

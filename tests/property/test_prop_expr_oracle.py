@@ -5,7 +5,7 @@ Random graphs carry properties spanning every literal type of Definition
 absent keys; random WHERE conditions and GROUP BY aggregations over them
 must evaluate identically under the compiled kernels and the row-at-a-time
 ``ExpressionEvaluator``: exact table equality (rows, order, columns) for
-the same plan, set equality against the ``naive=True`` reference, and
+the same plan, set equality against the ``NAIVE_CONFIG`` reference, and
 raise-vs-succeed agreement when an expression can error.
 """
 
@@ -25,6 +25,13 @@ from repro.table import Table
 NODES = ["a", "b", "c", "d", "e"]
 LABELS = ["X", "Y"]
 PROP_KEYS = ["p", "q"]
+
+#: (vectorized, interpreted, naive reference) lattice points.
+MODES = (
+    DEFAULT_CONFIG,
+    DEFAULT_CONFIG.with_(expressions="interpreted"),
+    NAIVE_CONFIG,
+)
 
 scalars = st.one_of(
     st.booleans(),
@@ -99,11 +106,8 @@ def predicates(draw):
 def evaluate_modes(engine, clause):
     """The binding table under (vectorized, interpreted, naive) modes."""
     results = []
-    for vectorized, naive in ((True, False), (False, False), (False, True)):
-        ctx = EvalContext(engine.catalog)
-        ctx.naive_planner = naive
-        if not naive:
-            ctx.vectorized_expressions = vectorized
+    for config in MODES:
+        ctx = EvalContext(engine.catalog, config=config)
         try:
             results.append(evaluate_match(clause, ctx))
         except EvaluationError:
@@ -156,11 +160,8 @@ def test_group_by_aggregate_parity(graph, aggregate, distinct, group_key, arg_ke
     )
     statement = engine.parse(text)
     results = []
-    for vectorized, naive in ((True, False), (False, False), (False, True)):
-        ctx = EvalContext(engine.catalog)
-        ctx.naive_planner = naive
-        if not naive:
-            ctx.vectorized_expressions = vectorized
+    for config in MODES:
+        ctx = EvalContext(engine.catalog, config=config)
         try:
             results.append(evaluate_statement(statement, ctx))
         except EvaluationError:
@@ -210,11 +211,8 @@ def test_projection_parity(graph):
     )
     statement = engine.parse(text)
     tables = []
-    for vectorized, naive in ((True, False), (False, False), (False, True)):
-        ctx = EvalContext(engine.catalog)
-        ctx.naive_planner = naive
-        if not naive:
-            ctx.vectorized_expressions = vectorized
+    for config in MODES:
+        ctx = EvalContext(engine.catalog, config=config)
         tables.append(evaluate_statement(statement, ctx))
     first, second, third = tables
     assert first.columns == second.columns == third.columns

@@ -15,6 +15,7 @@ BFS).
 from hypothesis import given, settings, strategies as st
 
 from repro.catalog import Catalog
+from repro.config import DEFAULT_CONFIG, NAIVE_CONFIG
 from repro.eval.context import EvalContext
 from repro.eval.match import evaluate_block
 from repro.lang import ast
@@ -118,9 +119,12 @@ def _tables(graph, chain):
     catalog.register_graph("g", graph, default=True)
     block = ast.MatchBlock((ast.PatternLocation(chain, "g"),), None)
     columnar_ctx = EvalContext(catalog)
-    columnar_ctx.columnar_executor = True
-    reference_ctx = EvalContext(catalog)
-    reference_ctx.columnar_executor = False
+    reference_ctx = EvalContext(
+        catalog,
+        config=DEFAULT_CONFIG.with_(
+            executor="reference", expressions="interpreted", paths="naive"
+        ),
+    )
     return (
         evaluate_block(block, columnar_ctx),
         evaluate_block(block, reference_ctx),
@@ -149,8 +153,7 @@ def test_batched_paths_under_naive_planner(graph, chain):
     catalog.register_graph("g", graph, default=True)
     block = ast.MatchBlock((ast.PatternLocation(chain, "g"),), None)
     batched_ctx = EvalContext(catalog)
-    naive_ctx = EvalContext(catalog)
-    naive_ctx.naive_planner = True
+    naive_ctx = EvalContext(catalog, config=NAIVE_CONFIG)
     assert set(evaluate_block(block, batched_ctx)) == set(
         evaluate_block(block, naive_ctx)
     )

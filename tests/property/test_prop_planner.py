@@ -11,6 +11,7 @@ every greedy step picks the best atom under the bound set of that step.
 from hypothesis import given, settings, strategies as st
 
 from repro.catalog import Catalog
+from repro.config import DEFAULT_CONFIG, NAIVE_CONFIG
 from repro.eval.context import EvalContext
 from repro.eval.match import _AnonNamer, decompose_chain, evaluate_block
 from repro.eval.planner import (
@@ -84,13 +85,28 @@ def chains(draw):
     return ast.Chain(tuple(elements))
 
 
-def _evaluate(graph, chain, naive, cost, columnar=None):
+_REFERENCE = DEFAULT_CONFIG.with_(
+    executor="reference", expressions="interpreted", paths="naive"
+)
+
+#: Each planner order on each executor: cost and greedy on both, the
+#: syntax order on the columnar pipeline (NAIVE_CONFIG covers it on the
+#: reference executor in the other oracle suites).
+PLANNER_POINTS = (
+    DEFAULT_CONFIG,
+    DEFAULT_CONFIG.with_(planner="greedy"),
+    NAIVE_CONFIG.with_(
+        executor="columnar", expressions="vectorized", paths="batched"
+    ),
+    _REFERENCE,
+    _REFERENCE.with_(planner="greedy"),
+)
+
+
+def _evaluate(graph, chain, config):
     catalog = Catalog()
     catalog.register_graph("g", graph, default=True)
-    ctx = EvalContext(catalog)
-    ctx.naive_planner = naive
-    ctx.use_cost_planner = cost
-    ctx.columnar_executor = columnar
+    ctx = EvalContext(catalog, config=config)
     block = ast.MatchBlock((ast.PatternLocation(chain, "g"),), None)
     return set(evaluate_block(block, ctx))
 
@@ -100,16 +116,13 @@ def _evaluate(graph, chain, naive, cost, columnar=None):
 def test_all_planner_modes_agree(graph, chain):
     """Every planner mode *and* both executors produce the same table.
 
-    This is the oracle of the columnar rewrite: the three planner modes
-    run the columnar pipeline (naive derives the reference executor, so
-    it is forced columnar here), and the cost-based order additionally
-    re-runs on the row-at-a-time reference executor.
+    This is the oracle of the columnar rewrite: the binding set must not
+    depend on the atom order or on the executor.
     """
-    cost_based = _evaluate(graph, chain, naive=False, cost=True)
-    heuristic = _evaluate(graph, chain, naive=False, cost=False)
-    naive = _evaluate(graph, chain, naive=True, cost=False, columnar=True)
-    reference = _evaluate(graph, chain, naive=False, cost=True, columnar=False)
-    assert cost_based == heuristic == naive == reference
+    first, *rest = [
+        _evaluate(graph, chain, config) for config in PLANNER_POINTS
+    ]
+    assert all(table == first for table in rest)
 
 
 @given(graphs(), chains(), st.sets(st.sampled_from(["n0", "n1", "n2"])))

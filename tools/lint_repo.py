@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant lint: AST-level checks CI runs blocking.
 
-Four invariants that ordinary linters cannot express:
+Three invariants that ordinary linters cannot express:
 
 1. **Error wire contract** — every ``GCoreError`` subclass in
    ``src/repro/errors.py`` and every ``ApiError`` subclass in
@@ -9,15 +9,12 @@ Four invariants that ordinary linters cannot express:
    ``http_status`` in its own class body. The pair is the HTTP error
    envelope's stable contract (``docs/http-api.md``); inheriting one
    silently is how codes drift.
-2. **No new ``naive=True`` call sites** — the flag is a deprecated
-   alias (see ``repro.config.NAIVE_CONFIG``); only the allow-listed
-   shim/reference modules may still pass it.
-3. **Commented fallbacks** — every ``except Exception`` in
+2. **Commented fallbacks** — every ``except Exception`` in
    ``src/repro/eval/parallel.py`` must carry a comment (inline or as
    the handler's first line) saying *why* swallowing is safe; the
    module's whole design is silent degradation to the serial path, so
    an uncommented handler is indistinguishable from a bug.
-4. **Fuzz corpus integrity** — every JSON under ``tests/fuzz/corpus/``
+3. **Fuzz corpus integrity** — every JSON under ``tests/fuzz/corpus/``
    must load as a counterexample, its query must parse as G-CORE, and
    replaying it against the fixed engine must come back clean (corpus
    entries record *fixed* bugs — see ``docs/fuzzing.md``).
@@ -36,13 +33,6 @@ import ast
 import sys
 from pathlib import Path
 from typing import Dict, List, Set
-
-#: Modules that may still pass naive=True: the deprecated-alias shim
-#: lives in engine.py (warns + folds into NAIVE_CONFIG), and the
-#: reference-oracle call sites in eval/match.py predate the config axis.
-NAIVE_ALLOWLIST = {
-    Path("src/repro/eval/match.py"),
-}
 
 ERROR_HIERARCHIES = {
     Path("src/repro/errors.py"): "GCoreError",
@@ -105,32 +95,8 @@ def check_error_contract(root: Path) -> List[str]:
     return problems
 
 
-def check_naive_callsites(root: Path) -> List[str]:
-    """Invariant 2: naive=True only in the allow-listed shim modules."""
-    problems: List[str] = []
-    for path in sorted((root / "src" / "repro").rglob("*.py")):
-        rel = path.relative_to(root)
-        if rel in NAIVE_ALLOWLIST:
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            for keyword in node.keywords:
-                if (
-                    keyword.arg == "naive"
-                    and isinstance(keyword.value, ast.Constant)
-                    and keyword.value.value is True
-                ):
-                    problems.append(
-                        f"{rel}:{node.lineno}: new naive=True call site "
-                        f"(pass config=NAIVE_CONFIG instead)"
-                    )
-    return problems
-
-
 def check_parallel_fallbacks(root: Path) -> List[str]:
-    """Invariant 3: parallel.py handlers are narrow and commented.
+    """Invariant 2: parallel.py handlers are narrow and commented.
 
     Blanket ``except Exception`` / bare ``except:`` fallbacks are
     forbidden outright — they swallow ``AssertionError`` from worker
@@ -168,7 +134,7 @@ def check_parallel_fallbacks(root: Path) -> List[str]:
 
 
 def check_fuzz_corpus(root: Path) -> List[str]:
-    """Invariant 4: corpus counterexamples load, parse, and replay clean."""
+    """Invariant 3: corpus counterexamples load, parse, and replay clean."""
     corpus = root / FUZZ_CORPUS
     problems: List[str] = []
     if not corpus.is_dir():
@@ -218,7 +184,6 @@ def check_fuzz_corpus(root: Path) -> List[str]:
 def run_lint(root: Path) -> List[str]:
     problems: List[str] = []
     problems += check_error_contract(root)
-    problems += check_naive_callsites(root)
     problems += check_parallel_fallbacks(root)
     problems += check_fuzz_corpus(root)
     return problems
