@@ -438,19 +438,24 @@ def analyze(
     return analyzer.result()
 
 
-def check_match(match: ast.MatchClause) -> Dict[str, str]:
+def check_match(
+    match: ast.MatchClause, outer: Optional[Scope] = None
+) -> Scope:
     """Enforce the Section 3 MATCH restrictions before evaluation.
 
     Runs the analyzer's sort inference and OPTIONAL rule
     (:func:`~repro.analysis.scopes.collect_match_scope`, GC201/GC203)
     and its ALL-paths rule over each block's WHERE (GC202), and raises
     :class:`~repro.errors.SemanticError` with the first finding's
-    message. Returns the sorts of the variables the clause declares.
+    message. *outer* is the scope of the enclosing query of a
+    correlated subquery: a variable reused there at another sort
+    clashes just as it does in :func:`analyze`. Returns the clause's
+    scope (its ``sorts`` are the variables the clause declares).
     """
     analyzer = Analyzer()
-    scope = collect_match_scope(analyzer, match)
+    scope = collect_match_scope(analyzer, match, outer)
     for block in (match.block, *match.optionals):
         check_all_paths_uses(analyzer, scope, block.where)
     if analyzer.diagnostics:
         raise SemanticError(analyzer.diagnostics[0].message)
-    return scope.sorts
+    return scope

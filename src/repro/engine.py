@@ -32,7 +32,7 @@ exposes the same object directly for parameterized hot loops::
 Any catalog mutation (``register_graph``, ``register_table``,
 ``set_default_graph``, ``refresh_view``, ``register_path_view``)
 invalidates the cache — a prepared statement may reference catalog names
-whose meaning just changed. Per-graph atom orderings inside a
+whose meaning just changed. Per-graph location plans inside a
 :class:`PreparedQuery` are additionally keyed by graph object identity,
 so a ``PreparedQuery`` held across an invalidation still executes
 correctly; only its memoized plans go cold.
@@ -95,7 +95,7 @@ class PreparedQuery:
     """A parsed, plannable statement that can be executed many times.
 
     Holds the parsed AST, the ``$name`` parameter slots found in it, and
-    a :class:`~repro.eval.planner.PlanCache` of resolved atom orderings
+    a :class:`~repro.eval.planner.PlanCache` of location plans
     (filled on first execution, replayed afterwards). Obtained from
     :meth:`GCoreEngine.prepare`; ``engine.run(text)`` transparently
     reuses prepared queries through the engine's LRU cache.
@@ -124,8 +124,8 @@ class PreparedQuery:
         """Execute the prepared statement (optionally with parameters).
 
         *config* pins the execution-mode lattice point for this run. A
-        non-default config skips the memoized atom orderings: the cached
-        permutations were chosen by the default planner mode, and
+        non-default config skips the memoized location plans: the cached
+        plans were made at the default config, and
         replaying them under another mode would corrupt the ablation.
         """
         missing = self.param_names - set(params or ())
@@ -744,24 +744,24 @@ class GCoreEngine:
     ) -> str:
         """A human-readable sketch of how a query would be evaluated.
 
-        Pattern atoms are listed in planner order with the heuristic
-        score and — when the target graph is resolvable — the estimated
-        output cardinality each atom had at selection time, followed by
-        the WHERE pushdown assignment: which conjuncts filter at which
-        atom's probe, which apply as post-atom filters, and which remain
-        residual at block end. The header reports whether the query text
-        currently sits in the prepared-query cache (``plan: cached`` vs
-        ``plan: cold``) and the :class:`~repro.config.ExecutionConfig`
-        lattice point the run would execute at (``config: ...``).
-        *catalog* pins name resolution to a snapshot
-        (:meth:`EngineSnapshot.explain` passes it). The sketch ends
-        with a ``diagnostics:`` block listing the static analyzer's
-        findings for the statement (``diagnostics: none`` when clean) —
-        see ``docs/analysis.md``.
+        Every MATCH and OPTIONAL location is planned as execution plans
+        it at *config* (:func:`~repro.eval.planner.plan_location`, with
+        the columns it really has bound) and the plan is rendered: atoms
+        in execution order with the heuristic score and, under the cost
+        planner, the estimate each had at selection time; then which
+        WHERE conjuncts filter at an atom's probe, which apply after an
+        atom, and which remain residual at block end. A location whose
+        graph only the run resolves (``ON (subquery)``) is labelled as
+        having no statistics, without an order under the cost planner.
+        The header reports whether the text sits in the prepared-query
+        cache (``plan: cached`` / ``plan: cold``) and the config
+        (``config: ...``). *catalog* pins name resolution to a snapshot
+        (:meth:`EngineSnapshot.explain` passes it). The sketch ends with
+        the static analyzer's findings (``diagnostics: none`` when
+        clean) — see ``docs/analysis.md``.
         """
-        from .eval.match import decompose_chain, _AnonNamer
-        from .eval.planner import explain_order, order_atoms
-        from .eval.pushdown import PushdownPlan
+        from .eval.match import ANON_PREFIX, _AnonNamer, decompose_chain
+        from .eval.planner import explain_order, explain_pushdown, plan_location
         from .lang.pretty import pretty_chain, pretty_expr
 
         resolver = catalog if catalog is not None else self.catalog
@@ -785,23 +785,71 @@ class GCoreEngine:
             )
         # Execution always runs with every $param bound (PreparedQuery
         # rejects missing ones before evaluating), so the pushdown
-        # totality analysis must see the parameters as present — else
-        # EXPLAIN would report a $param conjunct as residual while the
-        # actual run pushes it.
+        # totality analysis sees the parameters as present.
         param_names: Set[str] = set()
         _collect_params(statement, param_names)
-        bound_params = dict.fromkeys(param_names)
 
-        def location_graph(location) -> Optional[PathPropertyGraph]:
-            """Best-effort resolution of a pattern's target graph."""
+        def named_graph(on) -> Optional[PathPropertyGraph]:
+            """The graph an ON clause names (None: ON (subquery), or
+            unknown — the run resolves or rejects it)."""
             try:
-                if location.on is None:
+                if on is None:
                     return resolver.default_graph()
-                if isinstance(location.on, str):
-                    return resolver.graph(location.on)
+                if isinstance(on, str):
+                    return resolver.graph(on)
             except GCoreError:
                 return None
-            return None  # ON (subquery): no statistics without running it
+            return None
+
+        # EvalContext.current_graph as each block sets it: ON-less
+        # patterns of later blocks fall back to it.
+        current: List[Optional[PathPropertyGraph]] = []
+
+        def walk_block(block, tag: str, seed: Set[str], indent: str) -> Set[str]:
+            """Render one block, planned as the run plans it; returns
+            its visible output columns."""
+            lines.append(f"{indent}  {tag}")
+            namer = _AnonNamer()
+            first_on = next((loc.on for loc in block.patterns if loc.on is not None), None)
+            columns = set(seed)
+            bound_by_atoms: Set[str] = set()
+            plan = None
+            for position, location in enumerate(block.patterns):
+                on = (
+                    location.on
+                    if isinstance(location.on, str)
+                    else "<subquery>" if location.on else "<default>"
+                )
+                lines.append(
+                    f"{indent}    pattern ON {on}: "
+                    f"{pretty_chain(location.chain)}"
+                )
+                on = location.on if location.on is not None else first_on
+                graph = named_graph(on) if on is not None or not current else current[-1]
+                if position == 0:
+                    current.append(graph)
+                atoms = decompose_chain(location.chain, namer)
+                plan = plan_location(
+                    atoms, block.where, param_names, columns,
+                    bound_by_atoms, graph, active,
+                )
+                if graph is None and active.planner == "cost":
+                    lines.append(
+                        f"{indent}    no statistics (graph not resolved "
+                        f"before the run): atom order chosen at run time"
+                    )
+                else:
+                    lines.append(explain_order(plan))
+                    lines.extend(
+                        f"{indent}    {line}" for line in explain_pushdown(plan)
+                    )
+                for atom in atoms:
+                    bound_by_atoms |= atom.binds()
+                columns |= bound_by_atoms
+            if plan is not None:
+                for expr in plan.residual:
+                    lines.append(f"{indent}    residual {pretty_expr(expr)}")
+            return {c for c in columns if not c.startswith(ANON_PREFIX)}
 
         def walk_body(body, indent: str) -> None:
             if isinstance(body, ast.SetOpQuery):
@@ -815,59 +863,10 @@ class GCoreEngine:
                 lines.append(f"{indent}{head}")
                 if body.from_table:
                     lines.append(f"{indent}  FROM table {body.from_table}")
-                if body.match is not None:
-                    blocks = [body.match.block, *body.match.optionals]
-                    for b_index, block in enumerate(blocks):
-                        tag = "MATCH" if b_index == 0 else "OPTIONAL"
-                        lines.append(f"{indent}  {tag}")
-                        namer = _AnonNamer()
-                        plan = (
-                            PushdownPlan(block.where, bound_params)
-                            if block.where is not None
-                            else None
-                        )
-                        pushed_props = (
-                            plan.pushed_property_keys() or None
-                            if plan is not None
-                            else None
-                        )
-                        bound_sim: Set[str] = set()
-                        for location in block.patterns:
-                            on = (
-                                location.on
-                                if isinstance(location.on, str)
-                                else "<subquery>" if location.on else "<default>"
-                            )
-                            lines.append(
-                                f"{indent}    pattern ON {on}: "
-                                f"{pretty_chain(location.chain)}"
-                            )
-                            graph = location_graph(location)
-                            stats = (
-                                graph.statistics() if graph is not None else None
-                            )
-                            atoms = decompose_chain(location.chain, namer)
-                            lines.append(
-                                explain_order(
-                                    atoms, set(), stats=stats,
-                                    pushed_props=pushed_props,
-                                )
-                            )
-                            if plan is not None:
-                                ordered = order_atoms(
-                                    atoms, set(), stats=stats,
-                                    pushed_props=pushed_props,
-                                )
-                                for push_line in plan.simulate(
-                                    ordered, bound_sim
-                                ):
-                                    lines.append(f"{indent}    {push_line}")
-                        if plan is not None:
-                            for expr in plan.remaining():
-                                lines.append(
-                                    f"{indent}    residual "
-                                    f"{pretty_expr(expr)}"
-                                )
+                elif body.match is not None:
+                    seed = walk_block(body.match.block, "MATCH", set(), indent)
+                    for optional in body.match.optionals:
+                        seed |= walk_block(optional, "OPTIONAL", seed, indent)
 
         for head in query.heads:
             if isinstance(head, ast.PathClause):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
+from ..analysis.scopes import Scope
 from ..catalog import Catalog
 from ..config import DEFAULT_CONFIG, ExecutionConfig
 from ..errors import EvaluationError, UnknownGraphError
@@ -85,9 +86,13 @@ class EvalContext:
         # The graph of the current block's first pattern (used by ON-less
         # patterns and WHERE pattern predicates).
         self.current_graph: Optional[PathPropertyGraph] = None
-        # Memoized atom orderings, installed by PreparedQuery executions
+        # Memoized location plans, installed by PreparedQuery executions
         # (see repro.eval.planner.PlanCache); None = plan every block.
         self.plan_cache = None
+        # The Section 3 scope of the MATCH being evaluated here; a
+        # correlated EXISTS subquery checks its own MATCH against it.
+        # None outside any MATCH.
+        self.scope: Optional[Scope] = None
         # When a list, the top-level BasicQuery appends its MATCH binding
         # table here before the head clause consumes it. View
         # registration uses this to capture the Omega that seeds the
@@ -118,6 +123,7 @@ class EvalContext:
         child.active_graphs = list(self.active_graphs)
         child.current_graph = self.current_graph
         child.plan_cache = self.plan_cache
+        child.scope = self.scope
         child.overlay_labels = self.overlay_labels
         child.overlay_props = self.overlay_props
         child._segment_cache = self._segment_cache

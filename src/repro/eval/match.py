@@ -25,25 +25,28 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set,
+    Tuple,
+)
 
 from ..algebra.binding import ABSENT, Binding, BindingTable, EMPTY_BINDING
 from ..algebra.ops import table_left_join
 from ..errors import EvaluationError, SemanticError
 from ..lang import ast
 from ..model.graph import ObjectId, PathPropertyGraph
-from ..model.values import gcore_equals, truthy
+from ..model.values import gcore_equals
 from ..paths.automaton import NFA, compile_regex, regex_view_names
 from ..paths.product import PathFinder
 from ..paths.walk import AllPathsHandle, Walk
 from .context import EvalContext
 from .expressions import ExpressionEvaluator
-from .kernels import ExpressionCompiler, KernelContext, compiled_filter_rows
-from .planner import order_atoms
-from .pushdown import PushdownPlan, split_conjuncts
+from .kernels import ExpressionCompiler, compiled_filter_rows
+from .planner import LocationPlan, PlanStep, order_atoms, plan_location
 
 __all__ = [
     "evaluate_match",
+    "order_atoms",  # servebench/tracing.py wraps it here by name
     "evaluate_block",
     "chain_matches",
     "decompose_chain",
@@ -1150,7 +1153,9 @@ def _resolve_location(
         return ctx.resolve_graph(location.on)
     from .query import evaluate_query  # local import: cycle
 
-    result = evaluate_query(location.on, ctx.child())
+    sub_ctx = ctx.child()
+    sub_ctx.scope = None  # ON subqueries are not correlated
+    result = evaluate_query(location.on, sub_ctx)
     if not isinstance(result, PathPropertyGraph):
         raise EvaluationError("ON (subquery) must produce a graph")
     return result
@@ -1171,43 +1176,38 @@ def _block_default_graph(
     return None
 
 
-def _ordered_atoms(
+def _location_plan(
     atoms: List[object],
-    table: BindingTable,
     location: ast.PatternLocation,
+    where: Optional[ast.Expr],
+    table: BindingTable,
+    bound_by_atoms: FrozenSet[str],
     graph: PathPropertyGraph,
     ctx: EvalContext,
-    pushed_props=None,
-) -> List[object]:
-    """Plan a pattern, consulting the prepared-query plan cache if any.
+) -> LocationPlan:
+    """Plan a pattern location, consulting the prepared-query plan cache.
 
-    Orderings are memoized per (pattern site, bound columns, graph) —
-    pattern evaluation order never affects the result (the semantics is a
-    join), so a cached permutation is always safe to replay against the
-    identical site and graph. ``pushed_props`` feeds the selectivity of
-    pushed-down WHERE conjuncts into the cardinality estimates.
+    Plans are memoized per (pattern site, bound columns, graph): the
+    site fixes the block, its WHERE and its earlier locations, so a
+    cached plan (atoms included: anonymous names are numbered in block
+    order) is the plan this execution would make.
     """
-    bound = set(table.columns)
-    if ctx.config.planner == "naive":
-        return order_atoms(atoms, bound, naive=True)
-    stats = graph.statistics() if ctx.config.planner == "cost" else None
-    cache = ctx.plan_cache
-    if cache is None:
-        return order_atoms(
-            atoms, bound, stats=stats, pushed_props=pushed_props
-        )
     columns = tuple(table.columns)
-    memoized = cache.lookup(location, columns, graph)
-    if memoized is not None and len(memoized) == len(atoms):
-        return [atoms[i] for i in memoized]
-    position = {id(atom): i for i, atom in enumerate(atoms)}
-    ordered = order_atoms(atoms, bound, stats=stats, pushed_props=pushed_props)
-    cache.store(location, columns, graph, [position[id(a)] for a in ordered])
-    return ordered
+    cache = ctx.plan_cache
+    if cache is not None:
+        plan = cache.lookup(location, columns, graph)
+        if plan is not None:
+            return plan
+    plan = plan_location(
+        atoms, where, ctx.params, columns, bound_by_atoms, graph, ctx.config
+    )
+    if cache is not None:
+        cache.store(location, columns, graph, plan)
+    return plan
 
 
 def _apply_conjuncts(
-    conjuncts: List[ast.Expr],
+    conjuncts: Sequence[ast.Expr],
     table: BindingTable,
     ctx: EvalContext,
     compiler: Optional[ExpressionCompiler],
@@ -1218,9 +1218,10 @@ def _apply_conjuncts(
     Conjuncts apply in order over a narrowing row-index set (the batched
     mirror of the oracle's short-circuiting AND). With a *compiler* each
     conjunct runs as one compiled kernel sharing a
-    :class:`KernelContext` (property/label lookups memoize across the
-    whole conjunction); without one (the interpreted-expressions
-    ablation) conjuncts evaluate per row through the oracle.
+    :class:`~repro.eval.kernels.KernelContext` (property/label lookups
+    memoize across the whole conjunction); without one (the
+    interpreted-expressions ablation) each row goes through the oracle,
+    conjunct by conjunct, exactly as it evaluates their AND.
     """
     if not conjuncts or not table:
         return table
@@ -1231,14 +1232,12 @@ def _apply_conjuncts(
         if rows is None:
             rows = compiled_filter_rows(table, ctx, conjuncts, compiler)
     else:
-        rows = list(range(len(table)))
         views = table.rows
-        for conjunct in conjuncts:
-            if not rows:
-                break
-            rows = [
-                i for i in rows if ev.evaluate_predicate(conjunct, views[i])
-            ]
+        rows = [
+            i
+            for i in range(len(table))
+            if all(ev.evaluate_predicate(c, views[i]) for c in conjuncts)
+        ]
     if len(rows) == len(table):
         return table
     return table.select_rows(rows)
@@ -1246,7 +1245,7 @@ def _apply_conjuncts(
 
 def _probe_filter(
     var: str,
-    conjuncts: List[ast.Expr],
+    conjuncts: Sequence[ast.Expr],
     ctx: EvalContext,
     compiler: Optional[ExpressionCompiler],
     ev: ExpressionEvaluator,
@@ -1272,57 +1271,45 @@ def _probe_filter(
 
 
 def run_atom_sequence(
-    atoms: List[object],
+    steps: Sequence[PlanStep],
     table: BindingTable,
     graph: PathPropertyGraph,
     ctx: EvalContext,
     ev: ExpressionEvaluator,
     compiler: Optional[ExpressionCompiler],
-    plan: Optional[PushdownPlan],
-    bound_by_atoms: Set[str],
 ) -> BindingTable:
-    """Run a planned atom sequence against *table* (one block location).
+    """Run planned steps of one block location against *table*.
 
-    The shared inner loop of block evaluation: probe pushdown (each
-    probed variable's conjuncts filter the atom's candidates in one
-    batch, :func:`_probe_filter`), atom expansion on the configured
-    executor, then any newly-total pushed conjuncts. Mutates *plan*
-    (conjuncts are consumed as taken) and *bound_by_atoms* in place.
-    Morsel workers (:mod:`repro.eval.parallel`) run exactly this
-    function over their row ranges, which is what makes parallel block
+    The shared inner loop of block evaluation: each step's probe
+    conjuncts filter its atom's candidates in one batch per variable
+    (:func:`_probe_filter`), the atom expands on the configured
+    executor, then the step's post conjuncts filter the table. The
+    steps are read, never changed: morsel workers
+    (:mod:`repro.eval.parallel`) run exactly this function over their
+    row ranges with the same steps, which is what makes parallel block
     tails bit-identical to serial evaluation.
     """
     columnar = ctx.config.executor == "columnar"
-    for atom in atoms:
-        probe = None
-        if plan is not None and not isinstance(atom, PathAtom):
-            taken = plan.take_probe(atom, bound_by_atoms)
-            if taken:
-                probe = {
-                    var: _probe_filter(var, exprs, ctx, compiler, ev)
-                    for var, exprs in plan.probe_groups(taken).items()
-                }
+    for step in steps:
+        atom = step.atom
         if isinstance(atom, PathAtom):
-            # The path engine is its own config axis (historically it
-            # rode with the executor; the legacy flag setters keep
-            # that coupling, the config API can flip it alone).
+            # The path engine is its own config axis.
             if ctx.config.paths == "batched":
                 table = atom.extend_columnar(table, graph, ev, ctx)
             else:
                 table = atom.extend(table, graph, ev, ctx)
         elif columnar:
+            probe = {
+                var: _probe_filter(var, exprs, ctx, compiler, ev)
+                for var, exprs in step.probe
+            }
             table = atom.extend_columnar(
-                table, graph, ev, probe_filters=probe
+                table, graph, ev, probe_filters=probe or None
             )
         else:
             table = atom.extend(table, graph, ev)
-        bound_by_atoms |= atom.binds()
-        if plan is not None and table:
-            post = plan.take_post(bound_by_atoms)
-            if post:
-                table = _apply_conjuncts(
-                    [c.expr for c in post], table, ctx, compiler, ev
-                )
+        if step.post and table:
+            table = _apply_conjuncts(step.post, table, ctx, compiler, ev)
         if not table:
             break
     return table
@@ -1330,22 +1317,13 @@ def run_atom_sequence(
 
 def finish_block_where(
     table: BindingTable,
-    plan: Optional[PushdownPlan],
-    where: Optional[ast.Expr],
+    plan: LocationPlan,
     ctx: EvalContext,
     compiler: Optional[ExpressionCompiler],
     ev: ExpressionEvaluator,
 ) -> BindingTable:
-    """Apply the block-end residual WHERE (whatever pushdown left over)."""
-    if where is None or not table:
-        return table
-    if plan is not None:
-        return _apply_conjuncts(plan.remaining(), table, ctx, compiler, ev)
-    if compiler is not None:
-        return _apply_conjuncts(
-            split_conjuncts(where), table, ctx, compiler, ev
-        )
-    return table.filter(lambda row: ev.evaluate_predicate(where, row))
+    """Apply the block-end residual WHERE of the block's last location."""
+    return _apply_conjuncts(plan.residual, table, ctx, compiler, ev)
 
 
 def evaluate_block(
@@ -1355,7 +1333,12 @@ def evaluate_block(
     keep_anonymous: bool = False,
     name_anonymous_edges: bool = False,
 ) -> BindingTable:
-    """Evaluate one pattern block (the MATCH body or an OPTIONAL block)."""
+    """Evaluate one pattern block (the MATCH body or an OPTIONAL block).
+
+    Each location is planned when execution reaches it, against the
+    columns the table really has; an empty table ends the block before
+    later locations (and their ``ON (subquery)`` graphs) are evaluated.
+    """
     from .parallel import MIN_PARALLEL_ROWS, parallel_block_tail
 
     table = seed if seed is not None else BindingTable.unit()
@@ -1363,22 +1346,8 @@ def evaluate_block(
     ev = ExpressionEvaluator(ctx)
     primary_graph: Optional[PathPropertyGraph] = None
     block_default = _block_default_graph(block, ctx)
-    columnar = ctx.config.executor == "columnar"
     vectorized = ctx.config.expressions == "vectorized"
     compiler = ExpressionCompiler(ctx) if vectorized else None
-    # Predicate pushdown: total WHERE conjuncts apply as soon as their
-    # variables are bound — single-variable ones right at the candidate
-    # probe of the atom binding them — instead of at block end. Pushdown
-    # rides with the columnar executor (the planner prices it into its
-    # estimates), independent of the expression-engine choice, so the
-    # two expression engines see identical plans and produce identical
-    # tables — rows, order and columns.
-    plan: Optional[PushdownPlan] = None
-    pushed_props = None
-    if columnar and block.where is not None:
-        plan = PushdownPlan(block.where, ctx.params)
-        pushed_props = plan.pushed_property_keys() or None
-    bound_by_atoms: Set[str] = set()
     # Name resolution is eager for the whole block. Whether a given atom
     # (or a whole later pattern) ever executes depends on the data and
     # the planner's atom order — an empty binding table short-circuits
@@ -1397,12 +1366,14 @@ def evaluate_block(
                     ctx.require_path_view(view_name)
     # Morsel dispatch rides on single-location columnar blocks: atoms run
     # serially until the binding table is wide enough to split, then the
-    # remaining atoms and the residual WHERE move to the worker pool.
+    # remaining steps and the residual WHERE move to the worker pool.
     try_parallel = (
         not ctx.config.serial
-        and columnar
+        and ctx.config.executor == "columnar"
         and len(block.patterns) == 1
     )
+    bound_by_atoms: FrozenSet[str] = frozenset()
+    plan: Optional[LocationPlan] = None
     where_done = False
     for location in block.patterns:
         graph = _resolve_location(location, ctx, block_default)
@@ -1411,37 +1382,36 @@ def evaluate_block(
             ctx.current_graph = graph
         ctx.touch_graph(graph)
         atoms = decompose_chain(location.chain, namer, name_anonymous_edges)
-        ordered = _ordered_atoms(
-            atoms, table, location, graph, ctx, pushed_props
+        plan = _location_plan(
+            atoms, location, block.where, table, bound_by_atoms, graph, ctx
         )
         if try_parallel:
-            for index in range(len(ordered)):
+            for index in range(len(plan.steps)):
                 if len(table) >= MIN_PARALLEL_ROWS:
                     dispatched = parallel_block_tail(
-                        ordered, index, table, graph, ctx, plan,
-                        bound_by_atoms, block.where,
+                        plan, index, table, graph, ctx
                     )
                     if dispatched is not None:
                         table = dispatched
                         where_done = True
                         break
                 table = run_atom_sequence(
-                    ordered[index : index + 1], table, graph, ctx, ev,
-                    compiler, plan, bound_by_atoms,
+                    plan.steps[index : index + 1], table, graph, ctx, ev,
+                    compiler,
                 )
                 if not table:
                     break
         else:
             table = run_atom_sequence(
-                ordered, table, graph, ctx, ev, compiler, plan,
-                bound_by_atoms,
+                plan.steps, table, graph, ctx, ev, compiler
             )
         if not table:
             break
-    if not where_done:
-        table = finish_block_where(
-            table, plan, block.where, ctx, compiler, ev
+        bound_by_atoms = bound_by_atoms.union(
+            *(step.atom.binds() for step in plan.steps)
         )
+    if plan is not None and not where_done:
+        table = finish_block_where(table, plan, ctx, compiler, ev)
     if not keep_anonymous:
         hidden = [c for c in table.columns if c.startswith(ANON_PREFIX)]
         if hidden:

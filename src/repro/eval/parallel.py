@@ -14,27 +14,22 @@ which is first-occurrence-wins on both sides). The serial engine stays
 the oracle: ``tests/property/test_prop_parallel_oracle.py`` asserts
 exact table/graph parity for every lattice point.
 
-Three backends share one dispatch surface:
+Two backends share one dispatch surface:
 
 * ``fork`` (default where available) — a ``ProcessPoolExecutor`` over
   forked workers. Graphs are **not** pickled per task: the parent
   publishes them in the fork-inherited :data:`export registry
   <_EXPORTS>` before the pool forks, so workers read the shared
   copy-on-write adjacency indexes for free (they are immutable between
-  epochs). A task naming a token the worker's fork snapshot does not
-  know returns a stale marker; the parent then recycles the pool (a
-  fresh fork sees the current registry) and retries once. Only small
-  per-query state — the morsel's binding vectors, atom ASTs, the
-  pushdown plan, parameters — crosses the pipe.
-* ``spawn`` — a ``ProcessPoolExecutor`` over freshly started
-  interpreters. Spawned workers inherit nothing, so plain export
-  tokens cannot resolve there; *snapshot-backed* graphs
-  (:class:`~repro.storage.flatstore.FlatPathPropertyGraph`) instead
-  export as self-describing ``(path, graph)`` references that any
-  process resolves by attaching to the snapshot's shared read-only
-  mapping (:func:`repro.storage.attach`) — N workers, one mapping, no
-  per-worker deserialization. Queries over non-snapshot graphs degrade
-  to the serial path via the ordinary stale-token protocol.
+  epochs). Snapshot-backed graphs
+  (:class:`~repro.storage.flatstore.FlatPathPropertyGraph`) export as
+  self-describing ``(path, graph)`` references instead, which a worker
+  resolves by attaching to the snapshot's shared read-only mapping
+  (:func:`repro.storage.attach`). A task naming a token the worker's
+  fork snapshot does not know returns a stale marker; the parent then
+  recycles the pool (a fresh fork sees the current registry) and
+  retries once. Only small per-query state — the morsel's binding
+  vectors, the planned atom steps, parameters — crosses the pipe.
 * ``thread`` — a ``ThreadPoolExecutor`` running the identical worker
   functions in-process. Pure-Python work gains no wall-clock speedup
   under the GIL, but the backend keeps every worker code path
@@ -53,11 +48,12 @@ caller exactly as the serial engine would raise them.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import itertools
 import pickle
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..algebra.binding import BindingTable
 from ..config import ExecutionConfig
@@ -68,6 +64,7 @@ from ..paths.product import partition_sources
 
 __all__ = [
     "POOL_FALLBACK_EXCEPTIONS",
+    "dispatch_always",
     "fallback_counts",
     "morsel_ranges",
     "parallel_block_tail",
@@ -142,12 +139,31 @@ try:  # pragma: no cover - platform probe
 except (ImportError, OSError):  # pragma: no cover - multiprocessing missing
     multiprocessing = None  # type: ignore[assignment]
 
-#: ``"fork"`` (real multi-core scaling, Linux/macOS), ``"spawn"``
-#: (multi-core on any platform; workers see only snapshot-attach
-#: tokens), or ``"thread"`` (GIL-bound, but portable and in-process).
-#: Tests monkeypatch this to pin a backend; ``"fork"`` silently
+#: ``"fork"`` (real multi-core scaling, Linux/macOS) or ``"thread"``
+#: (GIL-bound, but portable and in-process). Tests pin a backend with
+#: :func:`dispatch_always` or a monkeypatch; ``"fork"`` silently
 #: degrades to ``"thread"`` when the platform cannot fork.
 DEFAULT_BACKEND = "fork" if _FORK_AVAILABLE else "thread"
+
+
+@contextlib.contextmanager
+def dispatch_always() -> Iterator[None]:
+    """Make every dispatch site fire, whatever the size of its work.
+
+    Sets the ``MIN_PARALLEL_*`` thresholds to 1 and the backend to
+    ``"thread"`` (in-process, fast to start) until the block exits, so
+    the small graphs of the parity tests and the differential fuzzer
+    really run on the pool. Rebinds module globals: not for concurrent
+    use.
+    """
+    thresholds = ("MIN_PARALLEL_ROWS", "MIN_PARALLEL_GROUPS",
+                  "MIN_PARALLEL_SOURCES", "MIN_PARALLEL_FILTER_ROWS")
+    saved = {name: globals()[name] for name in (*thresholds, "DEFAULT_BACKEND")}
+    globals().update(dict.fromkeys(thresholds, 1), DEFAULT_BACKEND="thread")
+    try:
+        yield
+    finally:
+        globals().update(saved)
 
 
 def morsel_ranges(nrows: int, workers: int) -> List[Tuple[int, int]]:
@@ -185,8 +201,8 @@ _MISSING = object()
 _STALE = "__gcore_stale_export__"
 #: First element of a snapshot-attach token: ``(marker, path, stored
 #: graph name, catalog name)``. Unlike integer registry tokens these are
-#: self-describing — *any* process (forked or spawned) resolves one by
-#: attaching to the snapshot file's shared mapping.
+#: self-describing — a worker resolves one by attaching to the snapshot
+#: file's shared mapping, whatever its fork snapshot holds.
 _SNAPSHOT_TOKEN = "__gcore_snapshot_graph__"
 
 #: A worker-resolvable graph reference: an integer registry token, a
@@ -255,15 +271,6 @@ def _make_pool(backend: str, workers: int):
         return ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context("fork"),
-        )
-    if backend == "spawn" and multiprocessing is not None:
-        # Spawned workers inherit nothing: integer registry tokens come
-        # back _STALE (→ serial fallback), but snapshot-attach tokens
-        # resolve anywhere, so snapshot-backed queries scale on
-        # platforms without fork.
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("spawn"),
         )
     return ThreadPoolExecutor(
         max_workers=workers, thread_name_prefix="gcore-morsel"
@@ -512,10 +519,7 @@ def _block_tail_worker(payload):
         default_token,
         active_tokens,
         table_wire,
-        atoms,
         plan,
-        bound,
-        where,
         params,
         config,
     ) = payload
@@ -534,27 +538,24 @@ def _block_tail_worker(payload):
         else None
     )
     table = table_from_payload(table_wire)
-    table = run_atom_sequence(
-        atoms, table, graph, ctx, ev, compiler, plan, set(bound)
-    )
-    table = finish_block_where(table, plan, where, ctx, compiler, ev)
+    table = run_atom_sequence(plan.steps, table, graph, ctx, ev, compiler)
+    table = finish_block_where(table, plan, ctx, compiler, ev)
     return table_payload(table)
 
 
 def parallel_block_tail(
-    ordered: List[Any],
+    plan,
     start: int,
     table: BindingTable,
     graph: Any,
     ctx,
-    plan,
-    bound_by_atoms,
-    where,
 ) -> Optional[BindingTable]:
-    """Dispatch ``ordered[start:]`` plus the residual WHERE over morsels.
+    """Dispatch ``plan.steps[start:]`` plus the residual WHERE over morsels.
 
     Returns the merged block-final table, or None when this point is not
     worth (or not safe to) parallelizing — the caller continues serially.
+    Every morsel gets the same immutable tail of the
+    :class:`~repro.eval.planner.LocationPlan`, with its per-atom pushdown.
     Exactness: each morsel runs the identical operator sequence over a
     contiguous row range; atoms emit per-input-row in input order, so
     concatenating morsel outputs in morsel order *is* the serial
@@ -566,26 +567,24 @@ def parallel_block_tail(
         return None
     if len(table) < MIN_PARALLEL_ROWS:
         return None
-    remaining = ordered[start:]
-    if not remaining:
+    tail = plan._replace(steps=plan.steps[start:])
+    if not tail.steps:
         return None
-    if not all(_atom_safe(atom) for atom in remaining):
+    if not all(_atom_safe(step.atom) for step in tail.steps):
         return None
-    if not exprs_safe(where):
+    # Pushed conjuncts are total, hence worker-safe; only the residual
+    # can hold EXISTS.
+    if not exprs_safe(*tail.residual):
         return None
     graph_token, default_token, active_tokens = _context_tokens(ctx, graph)
     shipped_config = config.with_(parallelism=1)
-    bound = frozenset(bound_by_atoms)
     payloads = [
         (
             graph_token,
             default_token,
             active_tokens,
             table_payload(table.select_rows(range(start_row, stop_row))),
-            remaining,
-            plan,
-            bound,
-            where,
+            tail,
             ctx.params,
             shipped_config,
         )

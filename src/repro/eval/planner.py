@@ -24,25 +24,34 @@ disables reordering entirely (pure syntax order); the ablation
 benchmark EXP-B1 measures the difference.
 
 :func:`plan_atoms` returns the full trace — the score/estimate each atom
-actually had at selection time — which EXPLAIN renders; :class:`PlanCache`
-memoizes orderings per (pattern site, bound columns, graph) for the
-engine's prepared queries.
+actually had at selection time. :func:`plan_location` adds the WHERE
+pushdown assignment and returns the immutable :class:`LocationPlan`
+that block evaluation, morsel workers and EXPLAIN all use;
+:class:`PlanCache` memoizes location plans per (pattern site, bound
+columns, graph) for the engine's prepared queries.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Collection, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from ..config import ExecutionConfig
+from ..lang import ast
+from ..lang.pretty import pretty_expr
 from ..paths.automaton import regex_edge_labels
+from .pushdown import ProbeGroups, PushdownPlan, atom_label, split_conjuncts
 
 __all__ = [
     "atom_score",
     "estimate_cardinality",
     "order_atoms",
     "plan_atoms",
+    "plan_location",
     "explain_order",
+    "explain_pushdown",
+    "LocationPlan",
     "PlanStep",
     "PlanCache",
 ]
@@ -192,11 +201,15 @@ def estimate_cardinality(
 # ---------------------------------------------------------------------------
 
 class PlanStep(NamedTuple):
-    """One planning decision: the atom and its selection-time priority."""
+    """One planning decision: the atom, its selection-time priority and
+    the WHERE conjuncts pushed into it — ``probe`` filters its
+    candidates, ``post`` the table right after it."""
 
     atom: object
     score: int
     estimate: Optional[float]
+    probe: ProbeGroups = ()
+    post: Tuple[ast.Expr, ...] = ()
 
 
 def plan_atoms(
@@ -227,25 +240,13 @@ def plan_atoms(
             -score,
         )
 
-    if naive:
-        steps = []
-        for atom in atoms:
-            estimate = (
-                estimate_cardinality(atom, bound_set, stats, pushed_props)
-                if stats is not None
-                else None
-            )
-            steps.append(PlanStep(atom, atom_score(atom, bound_set), estimate))
-            bound_set |= atom.binds()
-        return steps
-
     remaining = list(range(len(atoms)))
     steps: List[PlanStep] = []
     while remaining:
-        # min() keeps the first of equal priorities: ties go to syntax order.
-        current, index = min(
-            (priority(atoms[index]), index) for index in remaining
-        )
+        # Naive: syntax order. Otherwise the best priority; min() keeps
+        # the first of equal priorities, so ties go to syntax order.
+        candidates = remaining[:1] if naive else remaining
+        current, index = min((priority(atoms[i]), i) for i in candidates)
         remaining.remove(index)
         atom = atoms[index]
         estimate = current[0] if stats is not None else None
@@ -262,35 +263,61 @@ def order_atoms(
     pushed_props=None,
 ) -> List[object]:
     """Order *atoms* for evaluation, starting from *bound* variables."""
-    if naive:
-        return list(atoms)
     return [
-        step.atom
-        for step in plan_atoms(
-            atoms, bound, stats=stats, pushed_props=pushed_props
-        )
+        step.atom for step in plan_atoms(atoms, bound, naive, stats, pushed_props)
     ]
 
 
-def explain_order(
-    atoms: Sequence[object],
-    bound: Iterable[str],
-    stats=None,
-    naive: bool = False,
-    pushed_props=None,
-) -> str:
-    """A human-readable trace of the chosen order (EXPLAIN support).
+class LocationPlan(NamedTuple):
+    """The immutable plan of one pattern location: ``steps`` run in
+    order, ``residual`` is what of the block's WHERE remains for block
+    end once the location ran, ``paths`` names the path engine."""
 
-    Each line reports the score (and, with statistics, the estimated
-    output cardinality) the atom had at the moment the planner selected
-    it — taken from the recorded :class:`PlanStep`, so the numbers match
-    the actual planning decisions.
+    steps: Tuple[PlanStep, ...]
+    residual: Tuple[ast.Expr, ...]
+    paths: str
+
+
+def plan_location(
+    atoms: Sequence[object],
+    where: Optional[ast.Expr],
+    params: Collection[str],
+    bound: Iterable[str],
+    bound_by_atoms: Iterable[str],
+    graph,
+    config: ExecutionConfig,
+) -> LocationPlan:
+    """Plan one pattern location of a block whose WHERE is *where*.
+
+    *bound* are the columns the table has when execution reaches the
+    location: the block's seed columns plus *bound_by_atoms*, the binds
+    of its earlier locations. *params* are the bound ``$param`` names.
+    *graph* gives the cost planner its statistics (None: unresolved).
+    ``planner="naive"`` keeps syntax order; ``executor="reference"``
+    pushes nothing, leaving the whole WHERE residual.
     """
-    executor = "naive" if naive else "batched"
+    pushdown = PushdownPlan(where, params) if config.executor == "columnar" else None
+    stats = graph.statistics() if graph is not None and config.planner == "cost" else None
+    pushed_props = pushdown.pushed_property_keys() or None if pushdown else None
+    steps = plan_atoms(atoms, bound, config.planner == "naive", stats, pushed_props)
+    if pushdown is None:
+        return LocationPlan(tuple(steps), tuple(split_conjuncts(where)), config.paths)
+    assignments, residual = pushdown.assign(
+        [step.atom for step in steps], frozenset(bound_by_atoms)
+    )
+    steps = [
+        step._replace(probe=probe, post=post)
+        for step, (probe, post) in zip(steps, assignments)
+    ]
+    return LocationPlan(tuple(steps), residual, config.paths)
+
+
+def explain_order(plan: LocationPlan) -> str:
+    """A location's atoms in execution order (EXPLAIN), each with the
+    score (and, with statistics, the estimated output cardinality) it
+    had when the planner selected it."""
     lines: List[str] = []
-    for step in plan_atoms(
-        atoms, bound, naive=naive, stats=stats, pushed_props=pushed_props
-    ):
+    for step in plan.steps:
         detail = f"score={step.score:<3}"
         if step.estimate is not None:
             detail += f" est~{_format_estimate(step.estimate):<8}"
@@ -298,10 +325,21 @@ def explain_order(
         strategy = getattr(step.atom, "explain_strategy", None)
         if strategy is not None:
             # Path atoms report their search strategy (bfs vs dijkstra)
-            # and which executor will run them (batched vs naive).
-            line += f" strategy={strategy()},{executor}"
+            # and which path engine runs them (batched vs naive).
+            line += f" strategy={strategy()},{plan.paths}"
         lines.append(line)
     return "\n".join(lines)
+
+
+def explain_pushdown(plan: LocationPlan) -> List[str]:
+    """The location's pushed conjuncts, one line each, in step order."""
+    lines: List[str] = []
+    for step in plan.steps:
+        label = atom_label(step.atom)
+        for _var, exprs in step.probe:
+            lines.extend(f"pushed {pretty_expr(e)} -> {label} [probe]" for e in exprs)
+        lines.extend(f"pushed {pretty_expr(e)} -> {label} [filter]" for e in step.post)
+    return lines
 
 
 def _format_estimate(estimate: float) -> str:
@@ -315,21 +353,21 @@ def _format_estimate(estimate: float) -> str:
 # ---------------------------------------------------------------------------
 
 class PlanCache:
-    """An LRU memo of atom orderings, keyed by pattern site and graph.
+    """An LRU memo of location plans, keyed by pattern site and graph.
 
     A :class:`~repro.engine.PreparedQuery` owns one of these; the match
     evaluator consults it before planning so repeated executions of the
-    same statement skip ordering work entirely. Entries pin the pattern
-    location and graph objects and are validated by identity — a graph
-    re-registered under the same name is a different object and simply
-    misses, so stale orderings can never be replayed.
+    same statement skip ordering and pushdown analysis entirely. Entries
+    pin the pattern location and graph objects and are validated by
+    identity — a graph re-registered under the same name is a different
+    object and simply misses, so stale plans can never be replayed.
 
     Thread-safe: the query server executes one prepared statement from
     many snapshot readers concurrently while ``apply_update`` purges
     superseded-graph entries, so every structural operation on the LRU
     (lookup's move-to-end included) runs under a lock. Keying by graph
     *object* doubles as per-epoch cache keying — readers pinned to
-    different catalog versions never share (or clobber) an ordering.
+    different catalog versions never share (or clobber) a plan.
     """
 
     def __init__(self, maxsize: int = 128) -> None:
@@ -343,15 +381,15 @@ class PlanCache:
         with self._mutex:
             return len(self._entries)
 
-    def lookup(self, site, columns: Tuple[str, ...], graph) -> Optional[List[int]]:
-        """The memoized ordering (as atom indices), or None."""
+    def lookup(self, site, columns: Tuple[str, ...], graph) -> Optional[LocationPlan]:
+        """The memoized plan, or None."""
         key = (id(site), columns, id(graph))
         with self._mutex:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
                 return None
-            entry_site, entry_graph, order = entry
+            entry_site, entry_graph, plan = entry
             if entry_site is not site or entry_graph is not graph:
                 # id() reuse after garbage collection; drop the stale entry.
                 del self._entries[key]
@@ -359,28 +397,28 @@ class PlanCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return order
+            return plan
 
     def store(
-        self, site, columns: Tuple[str, ...], graph, order: List[int]
+        self, site, columns: Tuple[str, ...], graph, plan: LocationPlan
     ) -> None:
         key = (id(site), columns, id(graph))
         with self._mutex:
-            self._entries[key] = (site, graph, list(order))
+            self._entries[key] = (site, graph, plan)
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
 
     def purge_graph(self, graph) -> int:
-        """Drop every ordering memoized against *graph* (by identity).
+        """Drop every plan memoized against *graph* (by identity).
 
         Called when a graph delta replaces a catalog entry: the prepared
         queries themselves stay hot (parse and AST survive — names
-        re-resolve to the new graph at execution), only the orderings
-        planned against the superseded graph object are evicted. A
-        snapshot reader still pinned to *graph* simply re-plans on its
-        next execution (a cache miss, never an error) and re-stores the
-        ordering under the same identity key. Returns the number of
+        re-resolve to the new graph at execution), only the plans made
+        against the superseded graph object are evicted. A snapshot
+        reader still pinned to *graph* simply re-plans on its next
+        execution (a cache miss, never an error) and re-stores the plan
+        under the same identity key. Returns the number of
         dropped entries.
         """
         with self._mutex:

@@ -22,16 +22,16 @@ would have reached. Conjuncts that do not qualify (or whose variables
 are never bound by this block's atoms) stay in the *residual* and are
 applied at block end in their original order.
 
-:class:`PushdownPlan` performs the conjunct analysis once per block
-evaluation; the match evaluator consumes assignments as atoms execute,
-the planner reads :meth:`pushed_property_keys` to sharpen cardinality
-estimates, and EXPLAIN replays the same assignment logic dry via
-:meth:`simulate`.
+:class:`PushdownPlan` is the immutable conjunct analysis; the planner
+reads :meth:`~PushdownPlan.pushed_property_keys` to sharpen cardinality
+estimates and :meth:`~PushdownPlan.assign` to attach conjuncts to the
+atoms of a planned location (:func:`repro.eval.planner.plan_location`),
+which execution and EXPLAIN then share.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Collection, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from ..algebra.aggregates import is_aggregate_name
 from ..lang import ast
@@ -57,7 +57,7 @@ def split_conjuncts(expr: Optional[ast.Expr]) -> List[ast.Expr]:
     return [expr]
 
 
-def _is_total(expr: Optional[ast.Expr], params: Dict[str, Any]) -> bool:
+def _is_total(expr: Optional[ast.Expr], params: Collection[str]) -> bool:
     """Can evaluating *expr* ever raise? (Conservative syntactic check.)"""
     if expr is None:
         return True
@@ -104,16 +104,17 @@ def _is_total(expr: Optional[ast.Expr], params: Dict[str, Any]) -> bool:
     return False  # EXISTS subqueries/patterns: evaluate where the oracle does
 
 
-class _Conjunct:
-    """One pushable WHERE conjunct with its assignment state."""
+class _Conjunct(NamedTuple):
+    """One WHERE conjunct: its expression, variables and source position."""
 
-    __slots__ = ("expr", "variables", "index", "consumed")
+    expr: ast.Expr
+    variables: FrozenSet[str]
+    index: int
 
-    def __init__(self, expr: ast.Expr, variables: FrozenSet[str], index: int) -> None:
-        self.expr = expr
-        self.variables = variables
-        self.index = index
-        self.consumed = False
+
+#: An atom's probe assignment: ``(variable, conjuncts)`` groups, each
+#: filtering that variable's candidates in one batch, in source order.
+ProbeGroups = Tuple[Tuple[str, Tuple[ast.Expr, ...]], ...]
 
 
 def atom_label(atom) -> str:
@@ -140,23 +141,26 @@ def _probe_supported(atom, var: str) -> bool:
 
 
 class PushdownPlan:
-    """The pushdown assignment of one block's WHERE condition."""
+    """The pushdown analysis of one block's WHERE condition (immutable).
 
-    def __init__(self, where: Optional[ast.Expr], params: Dict[str, Any]):
-        self.pushable: List[_Conjunct] = []
-        self._residual: List[Tuple[int, ast.Expr]] = []
-        blocked = False
+    *params* are the bound ``$param`` names: a conjunct reading a missing
+    parameter raises, so it is not total.
+    """
+
+    def __init__(self, where: Optional[ast.Expr], params: Collection[str]):
+        pushable: List[_Conjunct] = []
+        blocked: List[_Conjunct] = []
         for index, conjunct in enumerate(split_conjuncts(where)):
+            entry = _Conjunct(conjunct, expr_variables(conjunct), index)
             if blocked or not _is_total(conjunct, params):
                 # Everything from the first non-total conjunct on stays
                 # in source order: pushing a later conjunct could hide
                 # an error this one raises under short-circuiting.
-                blocked = True
-                self._residual.append((index, conjunct))
+                blocked.append(entry)
             else:
-                self.pushable.append(
-                    _Conjunct(conjunct, expr_variables(conjunct), index)
-                )
+                pushable.append(entry)
+        self.pushable: Tuple[_Conjunct, ...] = tuple(pushable)
+        self.blocked: Tuple[_Conjunct, ...] = tuple(blocked)
 
     # ------------------------------------------------------------------
     def pushed_property_keys(self) -> Dict[str, Tuple[str, ...]]:
@@ -200,73 +204,49 @@ class PushdownPlan:
         return {var: tuple(found) for var, found in keys.items()}
 
     # ------------------------------------------------------------------
-    def take_probe(self, atom, bound_before) -> List[_Conjunct]:
-        """Single-variable conjuncts *atom* can filter at its probe.
+    def assign(
+        self, ordered_atoms, bound_by_atoms: FrozenSet[str]
+    ) -> Tuple[List[Tuple[ProbeGroups, Tuple[ast.Expr, ...]]], Tuple[ast.Expr, ...]]:
+        """Attach conjuncts to one location's planned atoms.
 
-        Only variables the atom newly binds qualify — a variable bound
-        by an earlier atom was already consumed as a post-filter there.
-        Marks the returned conjuncts consumed.
+        *bound_by_atoms* are the variables bound by atoms of the block's
+        earlier locations: a conjunct over those alone was applied there
+        (a variable-free conjunct filters after the block's first atom).
+        Of the rest, each atom takes at its probe the single-variable
+        conjuncts over a variable it newly binds and can filter, then,
+        as a post-filter, every conjunct whose variables it completes.
+        Returns one ``(probe groups, post conjuncts)`` pair per atom and
+        the block-end residual once this location ran: the conjuncts
+        still unassigned plus the blocked ones, in source order.
         """
-        taken: List[_Conjunct] = []
-        for conjunct in self.pushable:
-            if conjunct.consumed or len(conjunct.variables) != 1:
-                continue
-            (var,) = tuple(conjunct.variables)
-            if var in bound_before:
-                continue
-            if _probe_supported(atom, var):
-                conjunct.consumed = True
-                taken.append(conjunct)
-        return taken
-
-    def take_post(self, bound) -> List[_Conjunct]:
-        """Conjuncts whose variables are now all bound (marks consumed)."""
-        taken: List[_Conjunct] = []
-        for conjunct in self.pushable:
-            if not conjunct.consumed and conjunct.variables <= bound:
-                conjunct.consumed = True
-                taken.append(conjunct)
-        return taken
-
-    def remaining(self) -> List[ast.Expr]:
-        """Unconsumed conjuncts + residual, in source order."""
-        leftovers = [(c.index, c.expr) for c in self.pushable if not c.consumed]
-        return [expr for _, expr in sorted(leftovers + self._residual)]
-
-    @staticmethod
-    def probe_groups(conjuncts: List[_Conjunct]) -> Dict[str, List[ast.Expr]]:
-        """A probe assignment's conjuncts grouped by their one variable.
-
-        The atom evaluates each group as one batched WHERE filter over
-        a one-column table of its distinct candidate objects (see
-        :func:`repro.eval.match.run_atom_sequence`), in source order.
-        """
-        grouped: Dict[str, List[ast.Expr]] = {}
-        for conjunct in conjuncts:
-            (var,) = tuple(conjunct.variables)
-            grouped.setdefault(var, []).append(conjunct.expr)
-        return grouped
-
-    # ------------------------------------------------------------------
-    def simulate(self, ordered_atoms, bound) -> List[str]:
-        """Dry-run the assignment over *ordered_atoms* (EXPLAIN support).
-
-        Consumes conjuncts exactly like real evaluation (call on a fresh
-        plan) and mutates *bound* so multi-pattern blocks accumulate.
-        """
-        from ..lang.pretty import pretty_expr
-
-        lines: List[str] = []
+        bound = set(bound_by_atoms)
+        open_ = [
+            c for c in self.pushable
+            if not (bound and c.variables <= bound)
+        ]
+        assignments: List[Tuple[ProbeGroups, Tuple[ast.Expr, ...]]] = []
         for atom in ordered_atoms:
-            for conjunct in self.take_probe(atom, bound):
-                lines.append(
-                    f"pushed {pretty_expr(conjunct.expr)} -> "
-                    f"{atom_label(atom)} [probe]"
-                )
+            groups: Dict[str, List[ast.Expr]] = {}
+            probed = set()
+            for conjunct in open_:
+                if len(conjunct.variables) != 1:
+                    continue
+                (var,) = tuple(conjunct.variables)
+                if var not in bound and _probe_supported(atom, var):
+                    groups.setdefault(var, []).append(conjunct.expr)
+                    probed.add(conjunct.index)
             bound |= atom.binds()
-            for conjunct in self.take_post(bound):
-                lines.append(
-                    f"pushed {pretty_expr(conjunct.expr)} -> "
-                    f"{atom_label(atom)} [filter]"
+            post = [
+                c for c in open_
+                if c.index not in probed and c.variables <= bound
+            ]
+            done = probed | {c.index for c in post}
+            open_ = [c for c in open_ if c.index not in done]
+            assignments.append(
+                (
+                    tuple((var, tuple(exprs)) for var, exprs in groups.items()),
+                    tuple(c.expr for c in post),
                 )
-        return lines
+            )
+        leftovers = sorted(open_ + list(self.blocked), key=lambda c: c.index)
+        return assignments, tuple(c.expr for c in leftovers)

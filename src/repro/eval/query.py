@@ -110,43 +110,51 @@ def _evaluate_body(
 def _evaluate_basic(
     basic: ast.BasicQuery, ctx: EvalContext, seed: Optional[Binding]
 ) -> Union[PathPropertyGraph, Table]:
-    declared: FrozenSet[str]
-    if basic.from_table is not None:
-        table = ctx.catalog.table(basic.from_table)
-        rows = [
-            Binding(dict(zip(table.columns, row_values)))
-            for row_values in table.rows
-        ]
-        omega = BindingTable(table.columns, rows)
-        declared = frozenset(table.columns)
-        if seed is not None:
-            shared = [v for v in seed.domain if v in omega.columns]
-            if shared:
-                seed_row = seed.project(shared)
-                omega = omega.filter(lambda r: r.compatible(seed_row))
-    elif basic.match is not None:
-        declared = frozenset(check_match(basic.match))
-        seed_table: Optional[BindingTable] = None
-        if seed is not None:
-            # Outer variables act as parameters of the correlated subquery
-            # (A.2): seed the whole outer binding — shared pattern
-            # variables join on identity, and WHERE conditions may read
-            # any outer variable.
-            seed_table = BindingTable(tuple(sorted(seed.domain)), [seed])
-            declared = declared | seed.domain
-        omega = evaluate_match(basic.match, ctx, seed=seed_table)
-    else:
-        declared = frozenset()
-        omega = BindingTable.unit()
+    # EXISTS subqueries in this query's WHERE and head check their MATCH
+    # against its scope: child contexts inherit ctx.scope.
+    saved = scope = ctx.scope
+    if basic.from_table is None and basic.match is not None:
+        ctx.scope = scope = check_match(basic.match, saved)
+    try:
+        declared: FrozenSet[str]
+        if basic.from_table is not None:
+            table = ctx.catalog.table(basic.from_table)
+            rows = [
+                Binding(dict(zip(table.columns, row_values)))
+                for row_values in table.rows
+            ]
+            omega = BindingTable(table.columns, rows)
+            declared = frozenset(table.columns)
+            if seed is not None:
+                shared = [v for v in seed.domain if v in omega.columns]
+                if shared:
+                    seed_row = seed.project(shared)
+                    omega = omega.filter(lambda r: r.compatible(seed_row))
+        elif basic.match is not None:
+            declared = frozenset(scope.sorts)
+            seed_table: Optional[BindingTable] = None
+            if seed is not None:
+                # Outer variables act as parameters of the correlated subquery
+                # (A.2): seed the whole outer binding — shared pattern
+                # variables join on identity, and WHERE conditions may read
+                # any outer variable.
+                seed_table = BindingTable(tuple(sorted(seed.domain)), [seed])
+                declared = declared | seed.domain
+            omega = evaluate_match(basic.match, ctx, seed=seed_table)
+        else:
+            declared = frozenset()
+            omega = BindingTable.unit()
 
-    if ctx.omega_sink is not None:
-        # View registration captures the top-level MATCH table for the
-        # incremental-maintenance support counts (subqueries run in child
-        # contexts, whose sink is always None).
-        ctx.omega_sink.append(omega)
+        if ctx.omega_sink is not None:
+            # View registration captures the top-level MATCH table for the
+            # incremental-maintenance support counts (subqueries run in child
+            # contexts, whose sink is always None).
+            ctx.omega_sink.append(omega)
 
-    if isinstance(basic.head, ast.SelectClause):
-        return evaluate_select(basic.head, omega, ctx)
-    if isinstance(basic.head, ast.ConstructClause):
-        return evaluate_construct(basic.head, omega, ctx, declared)
-    raise SemanticError(f"unknown basic query head: {basic.head!r}")
+        if isinstance(basic.head, ast.SelectClause):
+            return evaluate_select(basic.head, omega, ctx)
+        if isinstance(basic.head, ast.ConstructClause):
+            return evaluate_construct(basic.head, omega, ctx, declared)
+        raise SemanticError(f"unknown basic query head: {basic.head!r}")
+    finally:
+        ctx.scope = saved

@@ -26,10 +26,11 @@ divergence).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, ContextManager, Dict, List, Optional, Sequence, Tuple
 
 from ..config import DEFAULT_CONFIG, NAIVE_CONFIG, ExecutionConfig
 from ..datasets.paper import (
@@ -41,6 +42,7 @@ from ..datasets.paper import (
 from ..engine import GCoreEngine
 from ..errors import GCoreError, ValidationError
 from ..lang import ast
+from ..eval.parallel import dispatch_always
 from ..eval.query import ViewResult
 from ..model.graph import PathPropertyGraph
 from ..model.io import graph_to_dict
@@ -232,9 +234,23 @@ def run_case(
     config: Optional[ExecutionConfig] = None,
     strict: bool = False,
 ) -> Outcome:
-    """Execute one statement at one lattice point; never raises."""
+    """Execute one statement at one lattice point; never raises.
+
+    A parallel point runs with every dispatch site forced onto the
+    thread pool: the fuzz catalog's graphs are far below the
+    ``MIN_PARALLEL_*`` thresholds, which would otherwise leave the
+    morsel code unexercised.
+    """
+    dispatch: ContextManager[None] = (
+        contextlib.nullcontext()
+        if config is None or config.serial
+        else dispatch_always()
+    )
     try:
-        result = engine.run(text, params=params, config=config, strict=strict)
+        with dispatch:
+            result = engine.run(
+                text, params=params, config=config, strict=strict
+            )
     except GCoreError as exc:
         diagnostic = None
         to_diag = getattr(exc, "to_diagnostic", None)

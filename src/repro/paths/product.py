@@ -624,21 +624,14 @@ class PathFinder:
         the j-th cheapest walk to any state extends an i-th cheapest walk
         to a predecessor with i <= j) and skip duplicate prefixes outright.
 
-        The reference engine keeps the historical 2k+4 bounded scan as a
-        fast path and falls back to the exhaustive duplicate-aware scan
-        whenever the bound actually suppressed an expansion.
+        The reference engine runs the exhaustive duplicate-aware scan.
         """
         if k <= 0 or source not in self._graph.nodes:
             return []
         if target not in self._graph.nodes:
             return []
         if self._naive:
-            results, truncated = self._k_shortest_bounded(source, target, k)
-            if truncated:
-                # The pop bound bit: rerun without trusting it (duplicates
-                # no longer count toward the per-state budget).
-                return self._k_shortest_exhaustive(source, target, k)
-            return results
+            return self._k_shortest_exhaustive(source, target, k)
         return self._k_shortest_batched(source, target, k)
 
     def _k_shortest_batched(
@@ -699,57 +692,10 @@ class PathFinder:
                 )
         return results
 
-    def _k_shortest_bounded(
-        self, source: ObjectId, target: ObjectId, k: int
-    ) -> Tuple[List[Walk], bool]:
-        """The historical 2k+4 pop-bounded scan; flags any suppression."""
-        limit = 2 * k + 4
-        pops: Dict[Tuple[ObjectId, int], int] = {}
-        results: List[Walk] = []
-        seen_walks: Set[Tuple[ObjectId, ...]] = set()
-        truncated = False
-        counter = 0
-        heap = [(0.0, walk_key((source,)), counter, source, self._nfa.start, (source,))]
-        while heap and len(results) < k:
-            cost, _, _, node, state, sequence = heapq.heappop(heap)
-            key = (node, state)
-            count = pops.get(key, 0)
-            if count >= limit:
-                truncated = True
-                continue
-            pops[key] = count + 1
-            if (
-                node == target
-                and self._nfa.is_accepting(state)
-                and sequence not in seen_walks
-            ):
-                seen_walks.add(sequence)
-                results.append(Walk(sequence, cost))
-                if len(results) >= k:
-                    break
-            for delta, extension, next_node, next_state in self._expand(node, state):
-                if pops.get((next_node, next_state), 0) >= limit:
-                    truncated = True
-                    continue
-                next_sequence = sequence + extension
-                counter += 1
-                heapq.heappush(
-                    heap,
-                    (
-                        cost + delta,
-                        walk_key(next_sequence),
-                        counter,
-                        next_node,
-                        next_state,
-                        next_sequence,
-                    ),
-                )
-        return results, truncated
-
     def _k_shortest_exhaustive(
         self, source: ObjectId, target: ObjectId, k: int
     ) -> List[Walk]:
-        """Row-at-a-time duplicate-aware exact scan (reference fallback).
+        """Row-at-a-time duplicate-aware exact scan (the reference).
 
         Independent of the batched scan: carries whole sequences in the
         heap, but applies the same distinct-prefix accounting — duplicate

@@ -728,7 +728,7 @@ class FlatPathPropertyGraph(PathPropertyGraph):
         A worker that unpickles this attaches to the same snapshot file
         (via the process-level attach cache) instead of shipping the
         graph's contents over the pipe — the mapping is the shared
-        medium, which is what makes spawn-mode pools viable.
+        medium.
         """
         from .snapshot import _reopen_graph
 

@@ -26,7 +26,7 @@ What one graph serializes to:
 * the graph's :class:`~repro.model.statistics.GraphStatistics` as JSON.
 
 :func:`attach` keeps one process-level :class:`Snapshot` per path so
-that worker processes (fork or spawn) resolve ``(path, graph)``
+that worker processes resolve ``(path, graph)``
 references against a single shared mapping; see
 :mod:`repro.eval.parallel`.
 """
@@ -451,8 +451,7 @@ def attach(path: str) -> Snapshot:
 
     Worker processes resolve ``(path, graph)`` references through this
     cache, so N workers reading one snapshot share a single read-only
-    mapping instead of N deserialized copies — and spawn-mode pools
-    (no inherited address space) attach just as cheaply as forked ones.
+    mapping instead of N deserialized copies.
     """
     key = os.path.abspath(path)
     with _ATTACH_LOCK:

@@ -53,6 +53,26 @@ STATEMENTS = {
         "WHERE length(p) > 1",
         "GC201",
     ),
+    "clash-with-enclosing-scope": (
+        "SELECT n.firstName MATCH (n:Person) "
+        "WHERE EXISTS (SELECT m.firstName MATCH (m)-[n]->(k))",
+        "GC201",
+    ),
+    "clash-with-enclosing-scope-construct": (
+        "CONSTRUCT (n) MATCH (n:Person)-[e:knows]->(m:Person) "
+        "WHERE EXISTS (CONSTRUCT (q) MATCH (e))",
+        "GC201",
+    ),
+    "clean-correlated-exists": (
+        "SELECT n.firstName MATCH (n:Person) "
+        "WHERE EXISTS (SELECT m.firstName MATCH (n)-[:knows]->(m))",
+        None,
+    ),
+    "clean-on-subquery-reuses-name": (
+        "SELECT x.firstName MATCH (x:Person) "
+        "ON (CONSTRUCT (y) MATCH (y)-[x]->(z))",
+        None,
+    ),
     "clean-select": (
         "SELECT n.firstName MATCH (n:Person) WHERE n.employer = 'Acme'",
         None,

@@ -67,14 +67,15 @@ class TestExplainSurfacing:
         assert "diagnostics: none" in engine.explain(CLEAN_QUERY)
 
     def test_explain_unknown_graph_renders_plan_and_gc101(self, engine):
-        # The pattern's graph does not resolve: EXPLAIN drops the
-        # estimates for it but still renders the plan and the finding.
+        # The pattern's graph does not resolve: EXPLAIN labels the
+        # location as having no statistics instead of guessing an atom
+        # order, and still renders the pattern and the finding.
         lines = engine.explain(
             "SELECT n.firstName MATCH (n:Person) ON nosuch"
         ).splitlines()
         assert "    pattern ON nosuch: (n:Person)" in lines
-        assert any(line.strip().startswith("node  score=") for line in lines)
-        assert "est~" not in "\n".join(lines)
+        assert any(line.strip().startswith("no statistics") for line in lines)
+        assert not any(line.strip().startswith("node ") for line in lines)
         (finding,) = [line for line in lines if "GC101" in line]
         assert "'nosuch' is not in the catalog" in finding
 

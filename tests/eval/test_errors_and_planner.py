@@ -12,7 +12,8 @@ from repro.errors import (
 )
 from repro.eval.context import EvalContext, IdFactory
 from repro.eval.match import decompose_chain, _AnonNamer
-from repro.eval.planner import atom_score, explain_order, order_atoms
+from repro.config import DEFAULT_CONFIG
+from repro.eval.planner import atom_score, explain_order, order_atoms, plan_location
 from repro.lang.parser import parse_query
 from repro.table import Table
 
@@ -120,7 +121,8 @@ class TestPlanner:
 
     def test_explain_order_mentions_atoms(self):
         atoms = self.chain_atoms("(a:Person)-[e]->(b)")
-        text = explain_order(atoms, set())
+        greedy = DEFAULT_CONFIG.with_(planner="greedy")
+        text = explain_order(plan_location(atoms, None, (), (), (), None, greedy))
         assert "node" in text and "edge" in text
 
     def test_hop_expands_edge_before_scanning_target(self):

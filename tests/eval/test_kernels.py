@@ -243,7 +243,7 @@ class TestPushdown:
         # The arithmetic conjunct blocks itself AND everything to its
         # right (error-order preservation).
         assert len(plan.pushable) == 0
-        assert len(plan.remaining()) == 2
+        assert len(plan.blocked) == 2
 
     def test_total_prefix_is_pushable(self):
         parser = Parser(tokenize(
@@ -252,7 +252,7 @@ class TestPushdown:
         clause = parser._match_clause()
         plan = PushdownPlan(clause.block.where, {})
         assert len(plan.pushable) == 1
-        assert len(plan.remaining()) == 2  # nothing consumed yet
+        assert len(plan.blocked) == 1
 
     def test_pushed_property_keys_feed_the_planner(self):
         parser = Parser(tokenize(

@@ -13,6 +13,7 @@ from repro.eval.planner import (
     explain_order,
     order_atoms,
     plan_atoms,
+    plan_location,
 )
 from repro.lang.parser import parse_query
 from repro.model.statistics import DEFAULT_SELECTIVITY
@@ -22,6 +23,11 @@ def chain_atoms(text):
     query = parse_query(f"CONSTRUCT (x) MATCH {text}")
     chain = query.body.match.block.patterns[0].chain
     return decompose_chain(chain, _AnonNamer())
+
+
+def explain_atoms(atoms, graph=None, config=DEFAULT_CONFIG):
+    """EXPLAIN's atom lines for a WHERE-less location with nothing bound."""
+    return explain_order(plan_location(atoms, None, (), (), (), graph, config))
 
 
 class TestGraphStatistics:
@@ -116,10 +122,10 @@ class TestGraphStatistics:
 
     def test_explain_reports_path_strategy(self, social):
         atoms = chain_atoms("(x)-/p <:knows*>/->(y)")
-        text = explain_order(atoms, set(), stats=social.statistics())
+        text = explain_atoms(atoms, social)
         assert "strategy=bfs,batched" in text
-        naive_text = explain_order(
-            atoms, set(), stats=social.statistics(), naive=True
+        naive_text = explain_atoms(
+            atoms, social, DEFAULT_CONFIG.with_(paths="naive")
         )
         assert "strategy=bfs,naive" in naive_text
 
@@ -207,13 +213,14 @@ class TestCostBasedOrdering:
 
     def test_explain_order_shows_estimates(self, social):
         atoms = chain_atoms("(a:Person)-[e]->(b)")
-        text = explain_order(atoms, set(), stats=social.statistics())
+        text = explain_atoms(atoms, social)
         assert "est~" in text and "node" in text and "edge" in text
 
-    def test_explain_order_without_stats_shows_scores(self):
+    def test_explain_order_without_stats_shows_scores(self, social):
         atoms = chain_atoms("(a:Person)-[e]->(b)")
-        text = explain_order(atoms, set())
-        assert "score=" in text and "est~" not in text
+        greedy = DEFAULT_CONFIG.with_(planner="greedy")
+        for text in (explain_atoms(atoms), explain_atoms(atoms, social, greedy)):
+            assert "score=" in text and "est~" not in text
 
     def test_same_bindings_as_heuristic_and_naive(self, engine):
         from repro.eval.context import EvalContext

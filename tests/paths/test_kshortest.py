@@ -98,17 +98,8 @@ def duplicate_run_setup(branches=2):
 class TestKShortestDuplicateTruncation:
     """Regression: the historical ``2k + 4`` pop bound silently dropped
     valid walks when duplicate graph walks from distinct automaton runs
-    exhausted a product state's budget. The public API must detect the
-    suppression and fall back to the duplicate-aware exact scan."""
-
-    def test_bounded_scan_truncates(self):
-        # Documents the original bug: the bounded fast path alone loses
-        # the 5th walk (duplicates of cheaper walks eat the pop budget).
-        graph, nfa = duplicate_run_setup()
-        finder = PathFinder(graph, nfa, naive=True)
-        results, truncated = finder._k_shortest_bounded("x", "x", 5)
-        assert truncated
-        assert len(results) < 5
+    exhausted a product state's budget. Both engines now run a
+    duplicate-aware exact scan that counts only distinct prefixes."""
 
     def test_public_api_falls_back_to_exact_scan(self):
         graph, nfa = duplicate_run_setup()

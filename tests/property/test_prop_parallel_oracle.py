@@ -24,30 +24,16 @@ from repro.eval import parallel
 from repro.model.builder import GraphBuilder
 from repro.model.io import graph_to_dict
 
-THRESHOLDS = (
-    "MIN_PARALLEL_ROWS",
-    "MIN_PARALLEL_GROUPS",
-    "MIN_PARALLEL_SOURCES",
-    "MIN_PARALLEL_FILTER_ROWS",
-)
-
 PARALLEL = ExecutionConfig(parallelism=3)
 
 
 @pytest.fixture(scope="module", autouse=True)
 def force_dispatch():
     """Thresholds -> 1 (everything dispatches), thread backend (fast)."""
-    saved = {name: getattr(parallel, name) for name in THRESHOLDS}
-    backend = parallel.DEFAULT_BACKEND
-    for name in THRESHOLDS:
-        setattr(parallel, name, 1)
-    parallel.DEFAULT_BACKEND = "thread"
     try:
-        yield
+        with parallel.dispatch_always():
+            yield
     finally:
-        for name, value in saved.items():
-            setattr(parallel, name, value)
-        parallel.DEFAULT_BACKEND = backend
         parallel.shutdown_pools()
 
 
@@ -84,6 +70,13 @@ def make_engine(graph):
     return engine
 
 
+#: An OPTIONAL block seeded with every Person: its tail splits over
+#: several morsels, and its WHERE conjunct is pushed to an atom's probe.
+OPTIONAL_PUSHED = (
+    "SELECT n.name AS name, m.name AS friend MATCH (n:Person) "
+    "OPTIONAL (n)-[:knows]->(m:Person) WHERE m.employer = 'Acme'"
+)
+
 # Each query leans on a different parallel surface: compiled WHERE
 # kernels, GROUP BY partial aggregation (merge order = group
 # first-occurrence order — no ORDER BY on purpose), OPTIONAL ABSENT
@@ -99,6 +92,7 @@ SELECT_QUERIES = [
     "MATCH (n:Person) OPTIONAL (n)-[:knows]->(m:Person)",
     "SELECT n.name AS name, n.age + 1 AS next "
     "MATCH (n:Person) WHERE n.age >= 21 ORDER BY name",
+    OPTIONAL_PUSHED,
 ]
 
 
@@ -211,6 +205,25 @@ def test_thread_backend_actually_dispatches(monkeypatch):
             engine.run(query), engine.run(query, config=PARALLEL)
         )
     assert calls, "no query dispatched to the worker pool"
+
+
+def test_optional_tail_morsels_all_apply_the_pushed_conjunct(monkeypatch):
+    """Morsel workers share one immutable block plan: the first worker
+    thread must not use up the pushed conjunct for the others."""
+    morsels = []
+    original = parallel._run_tasks
+
+    def spy(fn, payloads, config):
+        if fn.__name__ == "_block_tail_worker":
+            morsels.append(len(payloads))
+        return original(fn, payloads, config)
+
+    monkeypatch.setattr(parallel, "_run_tasks", spy)
+    engine = make_engine(_fixed_graph())
+    assert "[probe]" in engine.explain(OPTIONAL_PUSHED, config=PARALLEL)
+    serial = engine.run(OPTIONAL_PUSHED)
+    assert_same_table(serial, engine.run(OPTIONAL_PUSHED, config=PARALLEL))
+    assert morsels and max(morsels) >= 2
 
 
 @pytest.mark.skipif(
